@@ -444,7 +444,7 @@ func (e *Explorer) boundedFresh() (*boundedState, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	vis := newVisitedSet()
+	vis := e.newVisited()
 	vis.Insert(e.key(start, 0))
 	return &boundedState{
 		vis:      vis,
@@ -462,7 +462,7 @@ func (e *Explorer) regenerate(p *pausedSearch) (*boundedState, error) {
 	if err != nil {
 		return nil, err
 	}
-	vis := newVisitedSet()
+	vis := e.newVisited()
 	vis.Insert(e.key(start, 0))
 	frontier := []qent{{cfg: start}}
 	st := &boundedState{
@@ -861,7 +861,7 @@ func (e *Explorer) searchBoundedDFS(goal goalFunc, kind string) (*Witness, bool,
 		path    *pathNode
 		crashes int32
 	}
-	vis := newVisitedSet()
+	vis := e.newVisited()
 	vis.Insert(e.key(start, 0))
 	stack := []dent{{cfg: start}}
 	for len(stack) > 0 {

@@ -108,7 +108,7 @@ func (e *Explorer) valenceFrom(start *sim.Configuration, crashesSpent, stopAt in
 	// Valence only censuses decision values — no witness path is ever
 	// reconstructed — so revisit detection keeps the compact visited set
 	// alone (see visited.go); the node arena would be dead weight here.
-	vis := newVisitedSet()
+	vis := e.newVisited()
 	vis.Insert(e.key(start, crashesSpent))
 	queue := []qent{{cfg: start, crashes: int32(crashesSpent)}}
 	for len(queue) > 0 {

@@ -283,6 +283,10 @@ type Explorer struct {
 	// search with a retained level log, staged for Snapshot and for resuming
 	// (see bounded.go and checkpoint.go).
 	pending *pausedSearch
+	// onVisited, when set, receives the visited-key set of every search the
+	// explorer starts (see newVisited). It is a test seam: the golden table
+	// digests the sets to prove engines seal identical configurations.
+	onVisited func(*visitedSet)
 }
 
 // searchCtx bundles the mutable per-goroutine scratch state of a search:
@@ -416,6 +420,16 @@ func (e *Explorer) initialView() (*sim.Configuration, error) {
 	cfg, err := e.initial()
 	e.packed = packed
 	return cfg, err
+}
+
+// newVisited returns the empty visited-key set of a new search, handing it
+// to onVisited when set.
+func (e *Explorer) newVisited() *visitedSet {
+	v := newVisitedSet()
+	if e.onVisited != nil {
+		e.onVisited(v)
+	}
+	return v
 }
 
 // cfgKey combines the configuration fingerprint with the crash budget

@@ -299,7 +299,7 @@ func (e *Explorer) valenceFromParallel(start *sim.Configuration, crashesSpent, s
 	// Valence only censuses decision values — no witness path is ever
 	// reconstructed — so revisit detection needs the compact visited set
 	// alone; no node arena is kept whatever the store mode.
-	vis := newVisitedSet()
+	vis := e.newVisited()
 	vis.Insert(e.key(start, crashesSpent))
 	ws := e.workerCtxs(e.searchWorkers())
 	ct := newClaimTable()
