@@ -61,10 +61,10 @@ func BenchmarkFindBlockingLateCrash(b *testing.B) {
 // BenchmarkParallelSearch times the same exhaustive breadth-first search
 // (MinWait{F:1} on four processes with uniform proposals — no witness
 // exists, so every one of its ~7800 configurations is visited) at worker
-// counts 1, 2, and GOMAXPROCS, making the scaling curve of the
-// level-synchronous parallel frontier visible in the benchmark output and
-// the committed baseline. workers=1 is the sequential legacy engine, so the
-// 1-vs-2 delta also shows the parallel bookkeeping overhead.
+// counts 1, 2, and GOMAXPROCS, making the scaling curve of the kernel's
+// chunked parallel fan-out visible in the benchmark output and the
+// committed baseline. workers=1 is the kernel's serial loop, so the 1-vs-2
+// delta also shows the fan-out's bookkeeping overhead.
 func BenchmarkParallelSearch(b *testing.B) {
 	inputs := []sim.Value{0, 0, 0, 0}
 	live := []sim.ProcessID{1, 2, 3, 4}
@@ -147,13 +147,12 @@ func BenchmarkPORSearch(b *testing.B) {
 // BenchmarkFrontierOnlySearch times the same exhaustive uniform-input
 // Theorem 2 search (MinWait{F:1}, four interchangeable processes, one late
 // crash — no witness exists, so all ~42683 configurations are visited)
-// under the in-memory arena store and the frontier-only bounded store.
-// Both variants are gated in CI (cmd/benchgate) with the -benchmem B/op and
-// allocs/op columns: the pair pins the bounded engine's time overhead
-// against the arena engine AND the per-state allocation profile of each —
-// the bounded store's reason to exist is the B/op column. Both report
-// nodes/op (identical by the bit-identity guarantee; benchgate shows the
-// delta, which must be zero).
+// under the in-memory store, which keeps every level's generation records,
+// and the frontier-only store, which discards them. Both variants are gated
+// in CI (cmd/benchgate) with the -benchmem B/op and allocs/op columns: the
+// pair pins the time and the per-state allocation profile of each sink.
+// Both report nodes/op (identical by the bit-identity guarantee; benchgate
+// shows the delta, which must be zero).
 func BenchmarkFrontierOnlySearch(b *testing.B) {
 	inputs := []sim.Value{0, 0, 0, 0}
 	live := []sim.ProcessID{1, 2, 3, 4}

@@ -1,21 +1,19 @@
 package explore
 
-// This file implements the memory-bounded search engines selected by
-// Options.Store. The in-memory engines of search.go and parallel.go retain
-// one arena node (parent index + action) per visited configuration so a
-// witness replays by walking parent chains; on exhaustive verification
-// workloads — the searches that visit millions of configurations precisely
-// because no witness exists — that arena, not the frontier, dominates the
-// footprint.
+// This file implements the explorer's search kernel: the level-synchronous
+// breadth-first loop behind every witness search and valence census, its
+// chunked parallel fan-out, and the depth-first search.
 //
-// The bounded breadth-first engine keeps, per visited configuration, only
-// its revisit key in the compact visitedSet of visited.go (~16 B/state) plus
-// the live configurations of the current and next BFS levels. What it drops
-// is the per-node parentage, which is only ever needed when a witness is
-// found — and parentage is redundant: the traversal is fully deterministic,
-// so each level is a pure function of the previous one. The engine therefore
-// records, per level, the sequence of generation records (parent position in
-// the previous level, action) into a pluggable sink:
+// The breadth-first kernel keeps, per visited configuration, only its
+// revisit key in the compact visitedSet of visited.go (~11-16 B/state) plus
+// the live configurations of the current and next BFS levels. Parentage is
+// never stored per node: the traversal is fully deterministic, so each level
+// is a pure function of the previous one. The kernel therefore records, per
+// level, the sequence of generation records (parent position in the previous
+// level, action) into a pluggable sink chosen by Options.Store:
+//
+//   - StoreInMemory retains them in memory, 8 bytes per record. A witness
+//     path is read off the log by a backward walk, one record per level.
 //
 //   - StoreFrontierOnly discards them as levels seal. If a goal
 //     configuration is found at depth d, the witness path is reconstructed
@@ -35,14 +33,14 @@ package explore
 // else regenerates from them) is persisted and a later search of the same
 // instance resumes exactly where this one stopped; see checkpoint.go.
 //
-// Both bounded engines — the serial loop below and the chunked parallel
-// frontier built on expandLevel of parallel.go — visit configurations in
-// exactly the sequential in-memory order, so verdicts, stats, truncation
-// behaviour, and reconstructed witnesses are bit-identical to the arena
-// engines at every worker count. The depth-first twin at the bottom of the
-// file keeps witnesses as immutable cons-list paths hanging off the stack
-// (dead branches are garbage-collected), which bounds DFS memory by the
-// visited-key set plus the live stack.
+// The serial loop and the chunked parallel fan-out built on expandLevel of
+// parallel.go visit configurations in exactly the same order, so verdicts,
+// stats, truncation behaviour, and reconstructed witnesses are bit-identical
+// at every store and worker count (the kernel golden table pins this). The
+// depth-first search at the bottom of the file keeps witnesses as immutable
+// cons-list paths hanging off the stack (dead branches are
+// garbage-collected), which bounds DFS memory by the visited-key set plus
+// the live stack.
 
 import (
 	"fmt"
@@ -56,7 +54,8 @@ type Store int
 
 // Store modes.
 const (
-	// StoreInMemory retains the full node arena (default).
+	// StoreInMemory retains the level logs in memory, 8 bytes per visited
+	// configuration (default).
 	StoreInMemory Store = iota
 	// StoreFrontierOnly retains only the compact visited-key set and the
 	// current/next BFS levels; witnesses reconstruct by bounded re-search.
@@ -193,8 +192,8 @@ func (d *discardSink) retained() bool { return false }
 func (d *discardSink) discard()       {}
 
 // memSink retains records in memory, 8 bytes each in packed form: the
-// recording sink of witness re-searches, of checkpoint-enabled
-// frontier-only searches, and of restored checkpoints.
+// StoreInMemory sink, and the recording sink of witness re-searches, of
+// checkpoint-enabled frontier-only searches, and of restored checkpoints.
 type memSink struct {
 	recs [][]uint64
 }
@@ -346,8 +345,11 @@ type boundedState struct {
 	snapErr error
 	// quiet suppresses OnProgress: the witness re-search replays levels the
 	// original pass already reported, and re-emitting them would make the
-	// caller's counters jump backward.
+	// caller's counters jump backward; valence censuses report none.
 	quiet bool
+	// census, when set, makes the search a valence census (see valenceFrom):
+	// it stops before the next parent once the census is full.
+	census *census
 }
 
 // boundedHit locates a goal configuration in the level structure: frontier
@@ -370,14 +372,14 @@ type pausedSearch struct {
 	visited int
 }
 
-// newSink picks the level sink for a fresh bounded search: disk for
-// StoreSpill, memory when a checkpoint directory demands retention,
-// counting-only otherwise.
+// newSink picks the level sink for a fresh breadth-first search: disk for
+// StoreSpill, memory for StoreInMemory or when a checkpoint directory
+// demands retention, counting-only otherwise.
 func (e *Explorer) newSink() (levelSink, error) {
 	if e.opts.Store == StoreSpill {
 		return newDiskSink(e.opts.SpillDir)
 	}
-	if e.opts.Checkpoint != "" {
+	if e.opts.Store == StoreInMemory || e.opts.Checkpoint != "" {
 		return &memSink{}, nil
 	}
 	return &discardSink{}, nil
@@ -434,7 +436,7 @@ func (e *Explorer) boundedStart(kind string) (st *boundedState, fresh bool, err 
 	return e.boundedFresh()
 }
 
-// boundedFresh builds the root state of a bounded search.
+// boundedFresh builds the root state of a witness search.
 func (e *Explorer) boundedFresh() (*boundedState, bool, error) {
 	start, err := e.initial()
 	if err != nil {
@@ -444,82 +446,103 @@ func (e *Explorer) boundedFresh() (*boundedState, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	return e.rootState(start, 0, sink), true, nil
+}
+
+// rootState builds the state of a breadth-first search whose only frontier
+// entry is start, reached with crashes already spent.
+func (e *Explorer) rootState(start *sim.Configuration, crashes int, sink levelSink) *boundedState {
 	vis := e.newVisited()
-	vis.Insert(e.key(start, 0))
+	vis.Insert(e.key(start, crashes))
 	return &boundedState{
 		vis:      vis,
 		sink:     sink,
-		frontier: []qent{{cfg: start}},
-	}, true, nil
+		frontier: []qent{{cfg: start, crashes: int32(crashes)}},
+	}
 }
 
 // regenerate rebuilds the live search state of a paused search from its
 // level logs: replaying the generation records level by level reconstructs
 // the frontier configurations, their crash budgets, and the visited-key set
-// in one O(visited) pass — nothing else was ever persisted.
+// in one O(visited) pass — nothing else was ever persisted. A log that does
+// not describe a pause of this search — a cursor off its levels, a parent
+// outside the level it names, an inapplicable action, a revisited key, a
+// visited count that does not add up — is rejected as corrupt.
 func (e *Explorer) regenerate(p *pausedSearch) (*boundedState, error) {
+	levels := p.sink.levels()
+	// A pause is taken mid-level, with the paused level's log begun, or at
+	// a sealed level boundary, before the next log begins.
+	if p.level != levels-1 && (p.level != levels || p.pos != 0) {
+		return nil, fmt.Errorf("explore: corrupt checkpoint: paused at level %d position %d with %d level logs", p.level, p.pos, levels)
+	}
 	start, err := e.initial()
 	if err != nil {
 		return nil, err
 	}
-	vis := e.newVisited()
-	vis.Insert(e.key(start, 0))
-	frontier := []qent{{cfg: start}}
-	st := &boundedState{
-		vis:   vis,
-		sink:  p.sink,
-		pos:   p.pos,
-		level: p.level,
-		stats: Stats{Visited: p.visited},
+	st := e.rootState(start, 0, p.sink)
+	expanded := 0 // parents of the levels before st.level
+	for ; st.level < p.level; st.level++ {
+		next, err := e.regenerateLevel(st, len(st.frontier))
+		if err != nil {
+			return nil, err
+		}
+		for i := range st.frontier {
+			e.sc.release(st.frontier[i].cfg)
+		}
+		expanded += len(st.frontier)
+		st.frontier = next
 	}
-	for l := 0; l < p.sink.levels(); l++ {
-		n := p.sink.levelLen(l)
-		next := make([]qent, 0, n)
-		for j := 0; j < n; j++ {
-			rec, err := p.sink.record(l, j)
-			if err != nil {
-				return nil, err
-			}
-			if int(rec.parent) >= len(frontier) {
-				return nil, fmt.Errorf("explore: corrupt checkpoint: level %d record %d parent %d out of range", l, j, rec.parent)
-			}
-			parent := frontier[rec.parent]
-			cfg, ok := e.sc.apply(parent.cfg, rec.act)
-			if !ok {
-				return nil, fmt.Errorf("explore: corrupt checkpoint: level %d record %d action inapplicable", l, j)
-			}
-			crashes := parent.crashes
-			if rec.act.Crash {
-				crashes++
-			}
-			if !vis.Insert(e.key(cfg, int(crashes))) {
-				return nil, fmt.Errorf("explore: corrupt checkpoint: level %d record %d revisits a sealed key", l, j)
-			}
-			next = append(next, qent{cfg: cfg, crashes: crashes})
-		}
-		if l == p.level {
-			// The partial log of the level currently being expanded: the
-			// frontier stays, the regenerated entries are the partial next
-			// level.
-			st.frontier = frontier
-			st.next = next
-			return st, nil
-		}
-		for i := range frontier {
-			e.sc.release(frontier[i].cfg)
-		}
-		frontier = next
+	if p.pos > len(st.frontier) || expanded+p.pos != p.visited {
+		return nil, fmt.Errorf("explore: corrupt checkpoint: position %d of a %d-entry level %d does not make %d visited", p.pos, len(st.frontier), p.level, p.visited)
 	}
-	// The logs end exactly at a level boundary: the last regenerated level
-	// is the frontier and no partial next level exists.
-	st.frontier = frontier
+	st.pos = p.pos
+	st.stats.Visited = p.visited
+	if p.level < levels {
+		// The partial log of the paused level: its records came from the
+		// parents before the cursor and make up the partial next level.
+		if st.next, err = e.regenerateLevel(st, p.pos); err != nil {
+			return nil, err
+		}
+	}
 	return st, nil
 }
 
-// searchBounded is the bounded-store twin of searchArena's BFS branch:
-// identical verdicts, stats, truncation behaviour, and witnesses at every
-// worker count, with only the visited-key set and two frontier levels
-// retained.
+// regenerateLevel replays the log of level st.level, whose records must name
+// parents among the first parents entries of st.frontier, sealing each
+// regenerated configuration into st.vis; it returns them in log order.
+func (e *Explorer) regenerateLevel(st *boundedState, parents int) ([]qent, error) {
+	l := st.level
+	n := st.sink.levelLen(l)
+	next := make([]qent, 0, n)
+	for j := 0; j < n; j++ {
+		rec, err := st.sink.record(l, j)
+		if err != nil {
+			return nil, err
+		}
+		if rec.parent < 0 || int(rec.parent) >= parents {
+			return nil, fmt.Errorf("explore: corrupt checkpoint: level %d record %d parent %d outside [0, %d)", l, j, rec.parent, parents)
+		}
+		parent := st.frontier[rec.parent]
+		cfg, ok := e.sc.apply(parent.cfg, rec.act)
+		if !ok {
+			return nil, fmt.Errorf("explore: corrupt checkpoint: level %d record %d action inapplicable", l, j)
+		}
+		crashes := parent.crashes
+		if rec.act.Crash {
+			crashes++
+		}
+		if !st.vis.Insert(e.key(cfg, int(crashes))) {
+			return nil, fmt.Errorf("explore: corrupt checkpoint: level %d record %d revisits a sealed key", l, j)
+		}
+		next = append(next, qent{cfg: cfg, crashes: crashes})
+	}
+	return next, nil
+}
+
+// searchBounded is the breadth-first witness search: identical verdicts,
+// stats, truncation behaviour, and witnesses at every store and worker
+// count, with only the visited-key set, two frontier levels, and the
+// store's level log retained.
 func (e *Explorer) searchBounded(goal goalFunc, kind string) (*Witness, bool, error) {
 	st, fresh, err := e.boundedStart(kind)
 	if err != nil {
@@ -622,10 +645,10 @@ func (e *Explorer) snapshotLevel(st *boundedState) {
 	}
 }
 
-// runBounded drives the bounded BFS from st until a goal hit, exhaustion,
-// or truncation (hit == nil, st.stats distinguishes the latter two). The
-// serial path mirrors the sequential arena search parent by parent; more
-// than one worker runs the chunked parallel frontier on expandLevel.
+// runBounded drives the breadth-first kernel from st until a goal hit, a
+// census stop, exhaustion, or truncation (hit == nil; st.stats tells
+// truncation apart). The serial loop expands one parent at a time; more
+// than one worker runs the chunked parallel fan-out on expandLevel.
 func (e *Explorer) runBounded(st *boundedState, goal goalFunc) (*boundedHit, error) {
 	if e.searchWorkers() > 1 {
 		return e.runBoundedParallel(st, goal)
@@ -637,6 +660,9 @@ func (e *Explorer) runBounded(st *boundedState, goal goalFunc) (*boundedHit, err
 			}
 		}
 		for st.pos < len(st.frontier) {
+			if st.census.full() {
+				return nil, nil
+			}
 			if st.stats.Visited >= e.opts.MaxConfigs {
 				st.stats.Truncated = true
 				return nil, nil
@@ -690,16 +716,20 @@ func (e *Explorer) runBounded(st *boundedState, goal goalFunc) (*boundedHit, err
 	return nil, nil
 }
 
-// runBoundedParallel is runBounded on the level-synchronous parallel
-// frontier: expansion chunks run on expandLevel exactly as in
-// searchParallel, and the sequential merge appends generation records
-// instead of arena nodes. Chunk boundaries (a resumed search starts
-// mid-level) cannot change results: candidate order keys are absolute
-// frontier positions, and earlier chunks' children are sealed in the
-// visited set before later chunks expand.
+// runBoundedParallel is runBounded on the chunked parallel fan-out: each
+// chunk of parents expands on expandLevel and the sequential merge seals the
+// winners in the serial loop's order. Chunk boundaries (a resumed search
+// starts mid-level) cannot change results: candidate order keys are
+// absolute frontier positions, and earlier chunks' children are sealed in
+// the visited set before later chunks expand.
 func (e *Explorer) runBoundedParallel(st *boundedState, goal goalFunc) (*boundedHit, error) {
 	ws := e.workerCtxs(e.searchWorkers())
 	ct := newClaimTable()
+	if st.census != nil {
+		// Workers evaluate goals speculatively; the census folds winners in
+		// the merge instead, in sealing order.
+		goal = nil
+	}
 	var winners []candidate
 	for len(st.frontier) > 0 {
 		if st.sink.levels() == st.level {
@@ -708,6 +738,9 @@ func (e *Explorer) runBoundedParallel(st *boundedState, goal goalFunc) (*bounded
 			}
 		}
 		for st.pos < len(st.frontier) {
+			if st.census.full() {
+				return nil, nil
+			}
 			remaining := e.opts.MaxConfigs - st.stats.Visited
 			if remaining <= 0 {
 				st.stats.Truncated = true
@@ -726,7 +759,20 @@ func (e *Explorer) runBoundedParallel(st *boundedState, goal goalFunc) (*bounded
 			}
 			e.expandLevel(ws, st.frontier, st.pos, st.pos+limit, st.vis, ct, goal)
 			winners = ct.take(winners)
+			last := st.pos - 1 // the last parent the serial loop has expanded
 			for _, w := range winners {
+				parent := int(w.ord >> ordShift)
+				if parent > last {
+					if st.census.full() {
+						// The serial loop stops before expanding the next
+						// parent; parents between last and this winner's
+						// produced no winner, so the census cannot change
+						// before them.
+						st.stats.Visited += last + 1 - st.pos
+						return nil, nil
+					}
+					last = parent
+				}
 				if !st.vis.Insert(w.key) {
 					// Unreachable: sealed keys were dropped during expansion
 					// and within-level duplicates were resolved by the claim
@@ -734,24 +780,31 @@ func (e *Explorer) runBoundedParallel(st *boundedState, goal goalFunc) (*bounded
 					ws[0].release(w.cfg)
 					continue
 				}
-				if err := st.sink.append(levelRec{parent: int32(w.ord >> ordShift), act: w.act}); err != nil {
+				if err := st.sink.append(levelRec{parent: int32(parent), act: w.act}); err != nil {
 					return nil, err
 				}
 				if w.goalOK {
-					// The sequential search finds this witness while
-					// expanding the winner's parent, having counted every
-					// parent up to and including it.
-					st.stats.Visited += int(w.ord>>ordShift) + 1 - st.pos
+					// The serial loop finds this witness while expanding the
+					// winner's parent, having counted every parent up to and
+					// including it.
+					st.stats.Visited += parent + 1 - st.pos
 					return &boundedHit{
 						level:  st.level + 1,
 						pos:    st.sink.levelLen(st.level) - 1,
 						detail: w.detail,
 					}, nil
 				}
+				if st.census != nil {
+					collectDecisions(st.census.seen, w.cfg)
+				}
 				st.next = append(st.next, qent{cfg: w.cfg, crashes: w.crashes})
 			}
+			if last < st.pos+limit-1 && st.census.full() {
+				st.stats.Visited += last + 1 - st.pos
+				return nil, nil
+			}
 			st.stats.Visited += limit
-			releaseLevel(ws, st.frontier, st.pos, st.pos+limit, nil)
+			releaseLevel(ws, st.frontier, st.pos, st.pos+limit)
 			st.pos += limit
 		}
 		st.frontier, st.next = st.next, nil
@@ -828,14 +881,12 @@ func (e *Explorer) boundedWitness(sink levelSink, hit *boundedHit, kind string, 
 	return &Witness{Kind: kind, Run: run, Detail: hit.detail, Stats: stats}, nil
 }
 
-// searchBoundedDFS is the bounded-store twin of the sequential DFS branch:
-// the same traversal with revisit detection on the compact visited set and
-// the parent chains replaced by immutable cons-list paths hanging off the
-// stack, so memory is bounded by the visited keys plus the live stack —
-// abandoned branches are garbage-collected. Checkpointing is a BFS feature:
-// a DFS pause would have to persist the entire stack of full
-// configurations, which is precisely the footprint the bounded store
-// exists to avoid.
+// searchBoundedDFS is the depth-first witness search at every store:
+// revisit detection on the compact visited set, and witness paths kept as
+// immutable cons-list paths hanging off the stack, so memory is bounded by
+// the visited keys plus the live stack — abandoned branches are
+// garbage-collected. Checkpointing is a BFS feature: a DFS pause would have
+// to persist the entire stack of full configurations.
 func (e *Explorer) searchBoundedDFS(goal goalFunc, kind string) (*Witness, bool, error) {
 	if e.opts.Checkpoint != "" {
 		return nil, false, fmt.Errorf("explore: checkpointing requires the breadth-first strategy")

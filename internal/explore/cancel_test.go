@@ -131,9 +131,9 @@ func TestCancelBeforeStartResumesToWitness(t *testing.T) {
 }
 
 // TestCancelWithoutCheckpointJustStops pins the non-resumable paths: a
-// cancelled search without Options.Checkpoint — the in-memory arena engine,
-// the bounded DFS, and a bounded BFS without a checkpoint directory — stops
-// with Cancelled and Truncated set and no error, and reports no checkpoint.
+// cancelled search without Options.Checkpoint — breadth- or depth-first, at
+// the in-memory or the frontier-only store — stops with Cancelled and
+// Truncated set and no error, and reports no checkpoint.
 func TestCancelWithoutCheckpointJustStops(t *testing.T) {
 	d := cancelInstance()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -142,10 +142,10 @@ func TestCancelWithoutCheckpointJustStops(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"arena-bfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Context: ctx}},
-		{"arena-dfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Strategy: "dfs", Context: ctx}},
-		{"bounded-dfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Strategy: "dfs", Store: StoreFrontierOnly, Context: ctx}},
-		{"bounded-bfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Store: StoreFrontierOnly, Context: ctx}},
+		{"inmem-bfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Context: ctx}},
+		{"inmem-dfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Strategy: "dfs", Context: ctx}},
+		{"frontier-dfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Strategy: "dfs", Store: StoreFrontierOnly, Context: ctx}},
+		{"frontier-bfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Store: StoreFrontierOnly, Context: ctx}},
 	}
 	for _, tc := range cases {
 		w, found, err := New(sim.Restrict(d.alg, d.live), d.inputs, tc.opts).FindDisagreement()

@@ -30,8 +30,8 @@ func ckptExplorer(d diffInstance, store Store, workers, maxConfigs int, ckptDir 
 // layer: a search truncated at an arbitrary budget — including mid-level
 // cuts — and resumed from its checkpoint with a full budget must return the
 // identical verdict, witness, and stats as an uninterrupted run, at every
-// combination of truncating and resuming worker counts and for both bounded
-// stores.
+// combination of truncating and resuming worker counts and for every
+// store.
 func TestCheckpointResumeParity(t *testing.T) {
 	d := ckptInstance()
 	const fullBudget = 100000
@@ -42,7 +42,7 @@ func TestCheckpointResumeParity(t *testing.T) {
 	if !refFound || refW.Stats.Truncated {
 		t.Fatalf("reference search: found=%t stats=%+v", refFound, refW.Stats)
 	}
-	for _, store := range []Store{StoreFrontierOnly, StoreSpill} {
+	for _, store := range []Store{StoreInMemory, StoreFrontierOnly, StoreSpill} {
 		// The reference witness surfaces at visited=31, so every cut below
 		// that truncates; 25 cuts a BFS level mid-way.
 		for _, cut := range []int{1, 3, 7, 25, 30} {
@@ -322,35 +322,77 @@ func TestAutoResumeQuarantinesCorruptCheckpoint(t *testing.T) {
 }
 
 // TestAutoResumeQuarantinesInconsistentLog covers the corruption the
-// checksum cannot catch: a checkpoint of a *different* instance copied onto
-// this search's filename decodes fine but carries a foreign digest. The
-// auto-resume path must quarantine it and fall back to a fresh search.
+// checksum cannot catch: a file that decodes fine but does not describe a
+// pause of this search. A checkpoint of a *different* instance copied onto
+// this search's filename carries a foreign digest; a checkpoint of this
+// search rewritten (with a valid checksum and digest) with a record whose
+// parent is negative, or with a cursor off its level logs, replays
+// inconsistently. The auto-resume path must quarantine each and fall back
+// to a fresh search with the uninterrupted verdict.
 func TestAutoResumeQuarantinesInconsistentLog(t *testing.T) {
 	d := ckptInstance()
-	other := diffInstance{"other", d.alg, []sim.Value{0, 1, 3}, d.live, d.crashes}
-	dir := t.TempDir()
-	w1, found1, err := ckptExplorer(other, StoreFrontierOnly, 1, 20, dir).FindDisagreement()
-	if err != nil || found1 || w1.Checkpoint == "" {
-		t.Fatalf("setup pause: found=%t err=%v", found1, err)
-	}
-	e := ckptExplorer(d, StoreFrontierOnly, 1, 100000, dir)
-	foreign := e.checkpointFile("disagreement")
-	if err := os.Rename(w1.Checkpoint, foreign); err != nil {
-		t.Fatal(err)
-	}
 	ref, refFound, err := ckptExplorer(d, StoreFrontierOnly, 1, 100000, "").FindDisagreement()
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, found2, err := e.FindDisagreement()
-	if err != nil {
-		t.Fatalf("resume over foreign checkpoint errored instead of falling back: %v", err)
+	// Paused at budget 25, the search is at level 2, position 15.
+	doctor := func(mutate func(p *pausedSearch)) func(t *testing.T, dir, path string) {
+		return func(t *testing.T, dir, path string) {
+			w1, found1, err := ckptExplorer(d, StoreFrontierOnly, 1, 25, dir).FindDisagreement()
+			if err != nil || found1 || w1.Checkpoint != path {
+				t.Fatalf("setup pause: found=%t ckpt=%q err=%v", found1, w1.Checkpoint, err)
+			}
+			p, err := readCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.level != 2 || p.pos != 15 || p.visited != 25 {
+				t.Fatalf("setup pause at level %d position %d visited %d, want 2/15/25", p.level, p.pos, p.visited)
+			}
+			mutate(p)
+			if err := writeCheckpoint(path, p); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if found2 != refFound || w2.Stats != ref.Stats {
-		t.Fatalf("fresh fallback diverged: stats=%+v vs %+v", w2.Stats, ref.Stats)
+	cases := map[string]func(t *testing.T, dir, path string){
+		"foreign": func(t *testing.T, dir, path string) {
+			other := diffInstance{"other", d.alg, []sim.Value{0, 1, 3}, d.live, d.crashes}
+			w1, found1, err := ckptExplorer(other, StoreFrontierOnly, 1, 20, dir).FindDisagreement()
+			if err != nil || found1 || w1.Checkpoint == "" {
+				t.Fatalf("setup pause: found=%t err=%v", found1, err)
+			}
+			if err := os.Rename(w1.Checkpoint, path); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"negative-parent": doctor(func(p *pausedSearch) {
+			recs := p.sink.(*memSink).recs
+			rec := recFromBits(recs[1][0])
+			rec.parent = -1
+			recs[1][0] = recBits(rec)
+		}),
+		"position-past-level": doctor(func(p *pausedSearch) { p.pos = 1000 }),
+		"level-past-logs":     doctor(func(p *pausedSearch) { p.level = 7 }),
 	}
-	if _, err := os.Stat(foreign + ".corrupt"); err != nil {
-		t.Fatalf("foreign checkpoint was not quarantined: %v", err)
+	for name, setup := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := ckptExplorer(d, StoreFrontierOnly, 1, 100000, dir)
+			path := e.checkpointFile("disagreement")
+			setup(t, dir, path)
+			w2, found2, err := e.FindDisagreement()
+			if err != nil {
+				t.Fatalf("resume over inconsistent checkpoint errored instead of falling back: %v", err)
+			}
+			if found2 != refFound || w2.Stats != ref.Stats || w2.Detail != ref.Detail {
+				t.Fatalf("fresh fallback diverged: found=%t stats=%+v, uninterrupted found=%t stats=%+v",
+					found2, w2.Stats, refFound, ref.Stats)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Fatalf("inconsistent checkpoint was not quarantined: %v", err)
+			}
+		})
 	}
 }
 
@@ -428,15 +470,11 @@ func e2eCkptPath(dir string, d diffInstance) string {
 	return e.checkpointFile("disagreement")
 }
 
-// TestCheckpointRequiresBoundedStore pins the option-validation contract.
+// TestCheckpointRequiresBoundedStore pins the option-validation contract:
+// a depth-first search refuses Options.Checkpoint, since pausing it would
+// persist its whole stack of configurations.
 func TestCheckpointRequiresBoundedStore(t *testing.T) {
 	d := ckptInstance()
-	e := New(sim.Restrict(d.alg, d.live), d.inputs, Options{
-		Live: d.live, MaxCrashes: d.crashes, Checkpoint: t.TempDir(),
-	})
-	if _, _, err := e.FindDisagreement(); err == nil {
-		t.Fatal("in-memory store accepted Options.Checkpoint")
-	}
 	edfs := New(sim.Restrict(d.alg, d.live), d.inputs, Options{
 		Live: d.live, MaxCrashes: d.crashes, Strategy: "dfs",
 		Store: StoreFrontierOnly, Checkpoint: t.TempDir(),

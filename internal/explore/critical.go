@@ -59,7 +59,8 @@ func (e *Explorer) AnalyzeCriticalSteps() (*CriticalAnalysis, error) {
 		return nil, err
 	}
 	// actionsFull returns the explorer's reusable buffer and valenceFrom
-	// enumerates actions itself below, so take a copy before recursing. The
+	// enumerates actions itself below, so take a copy before recursing; each
+	// successor is handed to valenceFrom, which owns it from then on. The
 	// unreduced enumeration is deliberate: the analysis reports a StepValence
 	// per available first action, and that list must not shrink under
 	// Options.POR (the successor valence computations still prune).
@@ -70,7 +71,6 @@ func (e *Explorer) AnalyzeCriticalSteps() (*CriticalAnalysis, error) {
 			continue
 		}
 		vals, stats, err := e.valenceFrom(next, boolToInt(act.Crash), 0)
-		e.release(next)
 		if err != nil {
 			return nil, fmt.Errorf("explore: successor valence: %w", err)
 		}
@@ -91,63 +91,48 @@ func (e *Explorer) AnalyzeCriticalSteps() (*CriticalAnalysis, error) {
 
 // valenceFrom computes the reachable decision values from an arbitrary
 // configuration (with crashes already spent), stopping early once stopAt
-// distinct values are found (0 = collect every value). It shares the
-// arena-backed, fingerprint-keyed breadth-first expansion of search; the
-// caller retains ownership of start, every other visited configuration is
-// recycled through the explorer's free list.
+// distinct values are found (0 = collect every value). It runs on the
+// breadth-first kernel with a census in place of a witness goal, a
+// discarding level sink and no checkpoints or progress reports; the kernel
+// owns start from here on and recycles it with every other visited
+// configuration.
 func (e *Explorer) valenceFrom(start *sim.Configuration, crashesSpent, stopAt int) ([]sim.Value, Stats, error) {
-	// Valence expansion is always breadth-first, so the parallel frontier
-	// applies whenever more than one worker is configured, independent of
-	// Options.Strategy (which only orders witness searches).
-	if e.searchWorkers() > 1 {
-		return e.valenceFromParallel(start, crashesSpent, stopAt)
+	c := &census{seen: map[sim.Value]bool{}, stopAt: stopAt}
+	collectDecisions(c.seen, start)
+	st := e.rootState(start, crashesSpent, &discardSink{})
+	st.census = c
+	st.quiet = true
+	if _, err := e.runBounded(st, c.goal); err != nil {
+		return nil, Stats{}, err
 	}
-	seenVals := map[sim.Value]bool{}
-	collectDecisions(seenVals, start)
-	stats := Stats{}
-	// Valence only censuses decision values — no witness path is ever
-	// reconstructed — so revisit detection keeps the compact visited set
-	// alone (see visited.go); the node arena would be dead weight here.
-	vis := e.newVisited()
-	vis.Insert(e.key(start, crashesSpent))
-	queue := []qent{{cfg: start, crashes: int32(crashesSpent)}}
-	for len(queue) > 0 {
-		if stopAt > 0 && len(seenVals) >= stopAt {
-			break
-		}
-		if stats.Visited >= e.opts.MaxConfigs {
-			stats.Truncated = true
-			break
-		}
-		cur := queue[0]
-		queue = queue[1:]
-		stats.Visited++
-		for _, act := range e.actions(cur.cfg, int(cur.crashes)) {
-			next, ok := e.apply(cur.cfg, act)
-			if !ok {
-				continue
-			}
-			crashes := cur.crashes
-			if act.Crash {
-				crashes++
-			}
-			if !vis.Insert(e.key(next, int(crashes))) {
-				e.release(next)
-				continue
-			}
-			collectDecisions(seenVals, next)
-			queue = append(queue, qent{cfg: next, crashes: crashes})
-		}
-		if cur.cfg != start {
-			e.release(cur.cfg)
-		}
-	}
-	vals := make([]sim.Value, 0, len(seenVals))
-	for v := range seenVals {
+	vals := make([]sim.Value, 0, len(c.seen))
+	for v := range c.seen {
 		vals = append(vals, v)
 	}
 	sortValues(vals)
-	return vals, stats, nil
+	return vals, st.stats, nil
+}
+
+// census is the decision-value collector of a valence search: the kernel
+// folds every configuration it seals into seen, in sequential order, and
+// stops before the next parent once seen holds stopAt values (0 = never).
+type census struct {
+	seen   map[sim.Value]bool
+	stopAt int
+}
+
+// full reports whether the census stops the search; false for a nil census
+// (a witness search).
+func (c *census) full() bool {
+	return c != nil && c.stopAt > 0 && len(c.seen) >= c.stopAt
+}
+
+// goal folds cfg's decisions into the census and never reports a hit. The
+// sequential kernel evaluates goals in sealing order; the parallel merge
+// folds winners itself, since workers evaluate goals speculatively.
+func (c *census) goal(_ *searchCtx, cfg *sim.Configuration) (string, bool) {
+	collectDecisions(c.seen, cfg)
+	return "", false
 }
 
 func sortValues(vs []sim.Value) {

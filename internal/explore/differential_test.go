@@ -164,64 +164,6 @@ func runSignature(r *sim.Run) string {
 	return b.String()
 }
 
-// TestParallelSearchVisitsSequentialSet asserts, per instance and per goal,
-// that the level-synchronous parallel frontier search produces results
-// bit-identical to the sequential search — same found flag, witness detail,
-// scheduled witness run, and stats — and, on exhaustive searches, that it
-// visits exactly the sequential search's configuration set (equal arena
-// visited-key sets and node counts).
-func TestParallelSearchVisitsSequentialSet(t *testing.T) {
-	goals := []struct {
-		name string
-		goal goalFunc
-	}{
-		{"disagreement", disagreementGoal},
-		{"blocking", blockingGoal},
-	}
-	for _, d := range diffInstances() {
-		for _, g := range goals {
-			t.Run(d.name+"/"+g.name, func(t *testing.T) {
-				seqW, seqFound, seqAr, err := d.explorerWorkers(1).searchArena(g.goal, g.name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{2, 4} {
-					parW, parFound, parAr, err := d.explorerWorkers(workers).searchArena(g.goal, g.name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if parFound != seqFound {
-						t.Fatalf("workers=%d: found=%t, sequential found=%t", workers, parFound, seqFound)
-					}
-					if parW.Stats != seqW.Stats {
-						t.Fatalf("workers=%d: stats %+v, sequential %+v", workers, parW.Stats, seqW.Stats)
-					}
-					if seqFound {
-						if parW.Detail != seqW.Detail {
-							t.Fatalf("workers=%d: detail %q, sequential %q", workers, parW.Detail, seqW.Detail)
-						}
-						if got, want := runSignature(parW.Run), runSignature(seqW.Run); got != want {
-							t.Fatalf("workers=%d: witness run diverged:\n got %s\nwant %s", workers, got, want)
-						}
-						continue
-					}
-					// Exhaustive search: the visited sets must be identical.
-					if parAr.visited.Len() != seqAr.visited.Len() || len(parAr.nodes) != len(seqAr.nodes) {
-						t.Fatalf("workers=%d: visited %d nodes %d, sequential visited %d nodes %d",
-							workers, parAr.visited.Len(), len(parAr.nodes), seqAr.visited.Len(), len(seqAr.nodes))
-					}
-					seqAr.visited.Range(func(key uint64) bool {
-						if !parAr.visited.Contains(key) {
-							t.Fatalf("workers=%d: parallel search missed visited key %#x", workers, key)
-						}
-						return true
-					})
-				}
-			})
-		}
-	}
-}
-
 // legacyGoalReachable reports whether some configuration reachable under
 // string-keyed dedup satisfies goal.
 func legacyGoalReachable(t *testing.T, d diffInstance, goal func(*sim.Configuration) bool) bool {

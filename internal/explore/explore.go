@@ -18,18 +18,21 @@
 // (the protocols in this repository broadcast a constant number of times per
 // process), and budget-bounded otherwise.
 //
-// The search hot path is engineered around four ideas. Revisit detection
-// uses the simulator's incremental 64-bit configuration fingerprint
-// (sim.Configuration.Fingerprint) instead of materializing the O(n·|buffers|)
-// string Key per candidate; parent chains live in a flat node arena indexed
-// by int32 (see arena.go); the per-action configuration copies are recycled
-// through per-context free lists (sim.ClonePool), so a steady-state search
-// allocates almost nothing per visited configuration; and breadth-first
-// searches expand each frontier level across Options.Workers goroutines
-// (see parallel.go) with results bit-identical to the sequential order. An
-// Explorer is NOT safe for concurrent use — run independent searches on
-// independent Explorers (the experiment sweeps in the root package do
-// exactly that, one Explorer per sweep cell).
+// Every breadth-first search — witness searches and valence censuses alike
+// — runs on one level-synchronous kernel (bounded.go), and every
+// depth-first search on its cons-list twin. The hot path is engineered
+// around four ideas. Revisit detection uses the simulator's incremental
+// 64-bit configuration fingerprint (sim.Configuration.Fingerprint) instead
+// of materializing the O(n·|buffers|) string Key per candidate; parentage
+// lives in per-level logs of 8-byte generation records, from which a
+// witness path is read off backwards; the per-action configuration copies
+// are recycled through per-context free lists (sim.ClonePool), so a
+// steady-state search allocates almost nothing per visited configuration;
+// and the kernel expands each frontier level across Options.Workers
+// goroutines (see parallel.go) with results bit-identical to the
+// sequential order. An Explorer is NOT safe for concurrent use — run
+// independent searches on independent Explorers (the experiment sweeps in
+// the root package do exactly that, one Explorer per sweep cell).
 //
 // Two opt-in reductions shrink the explored space without changing any
 // verdict: Options.Symmetry collapses configurations that are process
@@ -158,16 +161,17 @@ type Options struct {
 	// it relies only on the simulator's crash semantics — stays active, so
 	// visited counts may still shrink. Default off.
 	POR bool
-	// Store selects the memory regime of the search (see bounded.go):
-	// StoreInMemory (the default) keeps the full node arena for parent-chain
-	// witness replay; StoreFrontierOnly retains only the compact
+	// Store selects where breadth-first searches keep their per-level
+	// generation records (see bounded.go): StoreInMemory (the default)
+	// retains them in memory, 8 bytes per visited state, and reads witnesses
+	// off them; StoreFrontierOnly discards them, retaining only the compact
 	// fingerprint-keyed visited set plus the current and next BFS levels,
-	// reconstructing witnesses by a bounded, deterministic re-search;
-	// StoreSpill additionally streams each sealed level's generation records
-	// to a disk file, from which witnesses are reconstructed by random-access
-	// re-read and checkpoints are written without re-searching. Verdicts,
-	// stats, and witnesses are bit-identical across all three stores at every
-	// worker count; only the bytes retained per visited state differ.
+	// and reconstructs witnesses by a bounded, deterministic re-search;
+	// StoreSpill streams each sealed level's records to a disk file, from
+	// which witnesses are reconstructed by random-access re-read and
+	// checkpoints are written without re-searching. Verdicts, stats, and
+	// witnesses are bit-identical across all three stores at every worker
+	// count; only the bytes retained per visited state differ.
 	Store Store
 	// SpillDir is the directory for StoreSpill's level-log file; empty means
 	// the system temporary directory. The file is unlinked at creation where
@@ -187,21 +191,20 @@ type Options struct {
 	// in flight. A checkpoint file that fails to load on the automatic resume
 	// path is quarantined (renamed aside with a ".corrupt" suffix) and the
 	// search starts fresh — corruption can cost re-exploration, never a
-	// verdict. Requires a bounded store and the (default) BFS strategy; see
-	// checkpoint.go.
+	// verdict. Requires the (default) BFS strategy; see checkpoint.go.
 	Checkpoint string
-	// Context, when non-nil, cancels witness searches cooperatively: the
-	// search loops poll it every cancelInterval visited configurations (and
-	// at every BFS level boundary), and a cancelled search stops early with
-	// Stats.Cancelled (and Stats.Truncated) set instead of returning an
-	// error — for bounded breadth-first searches this takes the exact
+	// Context, when non-nil, cancels searches cooperatively: the search
+	// loops poll it every cancelInterval visited configurations (the
+	// parallel fan-out at every chunk), and a cancelled search stops early
+	// with Stats.Cancelled (and Stats.Truncated) set instead of returning an
+	// error — for breadth-first witness searches this takes the exact
 	// truncation path, so a cancelled search with Options.Checkpoint set
 	// snapshots its paused state mid-level and a later identical search
-	// resumes where it stopped (see bounded.go). Until the first poll after
-	// cancellation the search behaves exactly as without a context, so a
-	// never-cancelled context changes nothing — verdicts, stats, and
-	// witnesses remain bit-identical. Valence analyses do not poll the
-	// context; they are bounded by MaxConfigs alone.
+	// resumes where it stopped (see bounded.go). Valence analyses run on the
+	// same kernel and poll the context the same way. Until the first poll
+	// after cancellation the search behaves exactly as without a context, so
+	// a never-cancelled context changes nothing — verdicts, stats, and
+	// witnesses remain bit-identical.
 	Context context.Context
 	// OnProgress, when non-nil, receives (visited, level) updates while a
 	// witness search runs: at every sealed BFS level boundary for
@@ -234,11 +237,11 @@ type Options struct {
 	// off.
 	Packed bool
 	// Workers caps the number of goroutines expanding the BFS frontier.
-	// Zero means GOMAXPROCS; 1 runs the exact sequential legacy search. Any
-	// value above 1 enables the level-synchronous parallel frontier of
-	// parallel.go, whose results — visited set, arena layout, witness, and
-	// stats — are bit-identical to the sequential search's (see the
-	// differential tests). DFS searches are always sequential: depth-first
+	// Zero means GOMAXPROCS; 1 runs the kernel's serial loop, which expands
+	// one parent at a time. Any value above 1 runs its chunked fan-out (see
+	// parallel.go), whose results — visited set, level logs, witness, and
+	// stats — are bit-identical to the serial loop's (the kernel golden
+	// table pins this). DFS searches are always sequential: depth-first
 	// order is inherently serial, and the engine relies on its action
 	// ordering to reach complete executions quickly. Oracles queried from a
 	// parallel search must be pure functions of (process, time,
@@ -252,10 +255,9 @@ const DefaultMaxConfigs = 250000
 
 // Explorer enumerates reachable configurations of an algorithm under
 // adversarial scheduling. It is not safe for concurrent use: searches share
-// the explorer's scratch buffers and configuration free list. (The parallel
-// frontier search of parallel.go is internally concurrent but owns one
-// searchCtx per worker; the Explorer itself still serves one search at a
-// time.)
+// the explorer's scratch buffers and configuration free list. (The kernel's
+// parallel fan-out is internally concurrent but owns one searchCtx per
+// worker; the Explorer itself still serves one search at a time.)
 type Explorer struct {
 	alg    sim.Algorithm
 	inputs []sim.Value
@@ -276,12 +278,12 @@ type Explorer struct {
 	// packed reports that the packed engine is active: Options.Packed was
 	// set and the algorithm/system pair supports it (sim.PackerFor).
 	packed bool
-	// sc is the explorer's own search context, used by sequential searches
-	// and by the critical-step driver.
+	// sc is the explorer's own search context, used by the serial loops and
+	// by the critical-step driver.
 	sc searchCtx
-	// pending is the paused state of the most recent truncated bounded
-	// search with a retained level log, staged for Snapshot and for resuming
-	// (see bounded.go and checkpoint.go).
+	// pending is the paused state of the most recent truncated
+	// breadth-first search with a retained level log, staged for Snapshot
+	// and for resuming (see bounded.go and checkpoint.go).
 	pending *pausedSearch
 	// onVisited, when set, receives the visited-key set of every search the
 	// explorer starts (see newVisited). It is a test seam: the golden table
@@ -291,9 +293,9 @@ type Explorer struct {
 
 // searchCtx bundles the mutable per-goroutine scratch state of a search:
 // the configuration free list, the delivery-id and action-enumeration
-// buffers, and the quiescence probe clone. The sequential search uses the
-// explorer's own context; the parallel frontier search gives every worker
-// its own, so the clone/release hot path never contends across workers.
+// buffers, and the quiescence probe clone. The serial loops use the
+// explorer's own context; the parallel fan-out gives every worker its own,
+// so the clone/release hot path never contends across workers.
 type searchCtx struct {
 	e *Explorer
 	// pool recycles retired configurations as pooled-clone destinations.
@@ -580,7 +582,7 @@ func (sc *searchCtx) enumerate(cfg *sim.Configuration, crashes int, plan porPlan
 }
 
 // Explorer-level delegates to the explorer's own search context, used by the
-// sequential search paths and the in-package tests.
+// serial search loops and the in-package tests.
 
 func (e *Explorer) release(c *sim.Configuration) { e.sc.release(c) }
 

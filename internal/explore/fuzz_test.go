@@ -111,7 +111,7 @@ func FuzzExploreParity(f *testing.F) {
 			{"blocking", blockingGoal},
 		}
 		for _, g := range goals {
-			plainW, plainFound, _, err := build(false, false).searchArena(g.goal, g.name)
+			plainW, plainFound, err := build(false, false).search(g.goal, g.name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func FuzzExploreParity(f *testing.F) {
 				return // not exhaustively explorable; parity is not defined
 			}
 			for _, m := range modes {
-				w, found, _, err := build(m.symmetry, m.por).searchArena(g.goal, g.name)
+				w, found, err := build(m.symmetry, m.por).search(g.goal, g.name)
 				if err != nil {
 					t.Fatal(err)
 				}

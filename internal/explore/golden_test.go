@@ -158,19 +158,7 @@ func goldenResult(r goldenRow, c goldenConfig) (string, *Witness, error) {
 	var witness *Witness
 	switch r.search {
 	case "bfs", "dfs":
-		var w *Witness
-		var found bool
-		var err error
-		if c.store == StoreInMemory {
-			// The arena engine keeps its visited set inside the arena.
-			var ar *arena
-			w, found, ar, err = e.searchArena(goalByName(r.goal), r.goal)
-			if ar != nil {
-				sets = []*visitedSet{ar.visited}
-			}
-		} else {
-			w, found, err = e.search(goalByName(r.goal), r.goal)
-		}
+		w, found, err := e.search(goalByName(r.goal), r.goal)
 		if err != nil {
 			return "", nil, err
 		}
@@ -255,31 +243,6 @@ func keysDigest(sets []*visitedSet) string {
 	return fmt.Sprintf("%d:%016x", n, h)
 }
 
-// goldenReference renders a row's line from the reference engines: the
-// serial in-memory arena search and the serial valence loop, with the
-// per-level profile taken from the frontier-only store, the serial engine
-// that reports it.
-func goldenReference(r goldenRow) (string, error) {
-	ref, _, err := goldenResult(r, goldenConfig{StoreInMemory, 1, false})
-	if err != nil {
-		return "", err
-	}
-	frontier, _, err := goldenResult(r, goldenConfig{StoreFrontierOnly, 1, false})
-	if err != nil {
-		return "", err
-	}
-	if withoutProfile(ref) != withoutProfile(frontier) {
-		return "", fmt.Errorf("%s: reference and frontier-only engines disagree:\n%s\n%s", r.key(), ref, frontier)
-	}
-	return frontier, nil
-}
-
-// withoutProfile drops the profile column, which the in-memory arena
-// engine does not report per level.
-func withoutProfile(line string) string {
-	return line[:strings.LastIndex(line, " profile=")]
-}
-
 var goldenOnce struct {
 	sync.Once
 	lines map[string]string
@@ -336,12 +299,8 @@ func checkGolden(t *testing.T, c goldenCase) {
 		if err != nil {
 			t.Fatalf("%s %v: %v", key, cfg, err)
 		}
-		cmp := want
-		if cfg.store == StoreInMemory {
-			got, cmp = withoutProfile(got), withoutProfile(want)
-		}
-		if got != cmp {
-			t.Fatalf("%s %v diverged from the golden line:\n got %s\nwant %s", key, cfg, got, cmp)
+		if got != want {
+			t.Fatalf("%s %v diverged from the golden line:\n got %s\nwant %s", key, cfg, got, want)
 		}
 		if w != nil {
 			testutil.RevalidateWitness(t, w.Kind, w.Run)
@@ -533,14 +492,15 @@ func goldenRows() []goldenRow {
 
 // TestKernelGoldenFile keeps the golden file in step with the suites: every
 // row a suite checks has exactly one line and no line is orphaned. With
-// -update it rewrites the file from the reference engines.
+// -update it rewrites the file from the serial in-memory kernel on the
+// pointer engine.
 func TestKernelGoldenFile(t *testing.T) {
 	rows := goldenRows()
 	if *updateGolden {
 		var b strings.Builder
 		b.WriteString(goldenHeader)
 		for _, r := range rows {
-			line, err := goldenReference(r)
+			line, _, err := goldenResult(r, goldenConfig{StoreInMemory, 1, false})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -569,19 +529,75 @@ func TestKernelGoldenFile(t *testing.T) {
 	}
 }
 
-// TestKernelGolden runs every golden suite against the file.
-func TestKernelGolden(t *testing.T) {
-	suites := goldenSuites()
-	names := make([]string, 0, len(suites))
-	for name := range suites {
-		names = append(names, name)
+// runGoldenSuite runs the golden suite named after the calling test.
+func runGoldenSuite(t *testing.T) {
+	cases := goldenSuites()[t.Name()]
+	if len(cases) == 0 {
+		t.Fatalf("no golden suite for %s", t.Name())
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			for _, c := range suites[name] {
-				t.Run(c.name, func(t *testing.T) { checkGolden(t, c) })
-			}
-		})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkGolden(t, c) })
 	}
 }
+
+// searchWithKeys runs a witness search and also returns the visited-key set
+// it sealed (the re-search's, when a frontier-only witness is re-searched:
+// both passes seal the same set).
+func searchWithKeys(e *Explorer, goal goalFunc, kind string) (*Witness, bool, *visitedSet, error) {
+	var vis *visitedSet
+	e.onVisited = func(v *visitedSet) { vis = v }
+	w, found, err := e.search(goal, kind)
+	return w, found, vis, err
+}
+
+// TestPackedSearchMatrix runs the packed differential cells — the
+// differential instances under every reduction, plus each fault model —
+// for both witness goals on the pointer and packed engines at every store
+// and both worker counts.
+func TestPackedSearchMatrix(t *testing.T) { runGoldenSuite(t) }
+
+// TestPackedArenaVisitedSet checks the disagreement search of every packed
+// differential cell, visited-key digest included.
+func TestPackedArenaVisitedSet(t *testing.T) { runGoldenSuite(t) }
+
+// TestParallelSearchVisitsSequentialSet checks the plain differential
+// instances for both witness goals.
+func TestParallelSearchVisitsSequentialSet(t *testing.T) { runGoldenSuite(t) }
+
+// TestBoundedStoreVerdictParity checks the POR differential suite for both
+// witness goals, plain and with symmetry and POR stacked.
+func TestBoundedStoreVerdictParity(t *testing.T) { runGoldenSuite(t) }
+
+// TestSymmetryParallelMatchesSerial checks the symmetry differential suite
+// for both witness goals under symmetry reduction.
+func TestSymmetryParallelMatchesSerial(t *testing.T) { runGoldenSuite(t) }
+
+// TestPORParallelMatchesSerial checks the POR differential suite for both
+// witness goals under POR, alone and with symmetry.
+func TestPORParallelMatchesSerial(t *testing.T) { runGoldenSuite(t) }
+
+// TestBoundedDFSParity checks depth-first searches, plain and reduced.
+func TestBoundedDFSParity(t *testing.T) { runGoldenSuite(t) }
+
+// TestParallelTruncationParity checks disagreement searches truncated at
+// budgets that cut BFS levels mid-way.
+func TestParallelTruncationParity(t *testing.T) { runGoldenSuite(t) }
+
+// TestBoundedTruncationParity checks truncated blocking, reduced,
+// depth-first and valence searches.
+func TestBoundedTruncationParity(t *testing.T) { runGoldenSuite(t) }
+
+// TestParallelValenceMatchesSequential checks exhaustive and early-stopping
+// valence censuses.
+func TestParallelValenceMatchesSequential(t *testing.T) { runGoldenSuite(t) }
+
+// TestBoundedValenceParity checks valence censuses under the reductions
+// and under each fault model.
+func TestBoundedValenceParity(t *testing.T) { runGoldenSuite(t) }
+
+// TestParallelCriticalStepsMatchSequential checks critical-step analyses,
+// plain and reduced.
+func TestParallelCriticalStepsMatchSequential(t *testing.T) { runGoldenSuite(t) }
+
+// TestParallelSearchWithOracle checks searches queried through an oracle.
+func TestParallelSearchWithOracle(t *testing.T) { runGoldenSuite(t) }

@@ -16,7 +16,6 @@ import (
 
 	"kset/internal/algorithms"
 	"kset/internal/sim"
-	"kset/internal/testutil"
 )
 
 // packedDiffCell is one point of the packed differential matrix.
@@ -191,96 +190,6 @@ func TestPackedConfigurationLockstep(t *testing.T) {
 					queue = append(queue, next)
 				}
 			}
-		})
-	}
-}
-
-// TestPackedSearchMatrix runs the production searches on both engines
-// across stores and worker counts and asserts identical outcomes: found
-// flag, stats (including truncation points), witness detail and scheduled
-// run, with found witnesses revalidated as genuine violations.
-func TestPackedSearchMatrix(t *testing.T) {
-	goals := []struct {
-		name string
-		find func(*Explorer) (*Witness, bool, error)
-	}{
-		{"disagreement", (*Explorer).FindDisagreement},
-		{"blocking", (*Explorer).FindBlocking},
-	}
-	stores := []struct {
-		name  string
-		store Store
-	}{
-		{"inmem", StoreInMemory},
-		{"frontier", StoreFrontierOnly},
-		{"spill", StoreSpill},
-	}
-	for _, c := range packedDiffCells() {
-		for _, g := range goals {
-			for _, s := range stores {
-				t.Run(c.name()+"/"+g.name+"/"+s.name, func(t *testing.T) {
-					ptrW, ptrFound, err := g.find(c.explorer(false, 1, s.store))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, workers := range []int{1, 4} {
-						pckW, pckFound, err := g.find(c.explorer(true, workers, s.store))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if pckFound != ptrFound {
-							t.Fatalf("workers=%d: packed found=%t, pointer found=%t", workers, pckFound, ptrFound)
-						}
-						if pckW.Stats != ptrW.Stats {
-							t.Fatalf("workers=%d: packed stats %+v, pointer %+v", workers, pckW.Stats, ptrW.Stats)
-						}
-						if !pckFound {
-							continue
-						}
-						if pckW.Detail != ptrW.Detail {
-							t.Fatalf("workers=%d: packed detail %q, pointer %q", workers, pckW.Detail, ptrW.Detail)
-						}
-						if got, want := runSignature(pckW.Run), runSignature(ptrW.Run); got != want {
-							t.Fatalf("workers=%d: witness run diverged:\n got %s\nwant %s", workers, got, want)
-						}
-						testutil.RevalidateWitness(t, pckW.Kind, pckW.Run)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestPackedArenaVisitedSet asserts that on exhaustive arena searches the
-// packed engine visits exactly the pointer engine's configuration set —
-// equal visited-key sets, node counts, and truncation behaviour.
-func TestPackedArenaVisitedSet(t *testing.T) {
-	for _, c := range packedDiffCells() {
-		t.Run(c.name(), func(t *testing.T) {
-			_, ptrFound, ptrAr, err := c.explorer(false, 1, StoreInMemory).searchArena(disagreementGoal, "disagreement")
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, pckFound, pckAr, err := c.explorer(true, 1, StoreInMemory).searchArena(disagreementGoal, "disagreement")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ptrFound != pckFound {
-				t.Fatalf("packed found=%t, pointer found=%t", pckFound, ptrFound)
-			}
-			if ptrFound {
-				return // arenas of found searches stop early; lockstep covers them
-			}
-			if pckAr.visited.Len() != ptrAr.visited.Len() || len(pckAr.nodes) != len(ptrAr.nodes) {
-				t.Fatalf("packed visited %d nodes %d, pointer visited %d nodes %d",
-					pckAr.visited.Len(), len(pckAr.nodes), ptrAr.visited.Len(), len(ptrAr.nodes))
-			}
-			ptrAr.visited.Range(func(key uint64) bool {
-				if !pckAr.visited.Contains(key) {
-					t.Fatalf("packed search missed visited key %#x", key)
-				}
-				return true
-			})
 		})
 	}
 }

@@ -1,40 +1,39 @@
 package explore
 
-// This file implements the level-synchronous parallel frontier search: the
-// parallel twin of the sequential BFS in search.go and critical.go, active
-// when Options.Workers resolves to more than one.
+// This file implements the chunked fan-out of the breadth-first kernel
+// (runBoundedParallel in bounded.go), active when Options.Workers resolves
+// to more than one.
 //
-// Each BFS level is processed in two phases.
+// Each chunk of a BFS level is processed in two phases.
 //
 //  1. Expansion (parallel). Workers claim frontier positions from an atomic
 //     counter and expand them with their own searchCtx — private clone free
 //     list, delivery scratch, action buffer, quiescence probe — so the hot
 //     clone/step/hash cycle runs without shared mutable state. Candidates
 //     whose fingerprint key was sealed in an earlier level are dropped
-//     against the arena's visited map, which is immutable while workers run
-//     and therefore read lock-free. Surviving candidates enter a 64-way
-//     sharded claim table keyed by fingerprint: per-shard mutexes arbitrate
+//     against the visited set, which is immutable while workers run and
+//     therefore read lock-free. Surviving candidates enter a 64-way sharded
+//     claim table keyed by fingerprint: per-shard mutexes arbitrate
 //     concurrent claims, and a claim is replaced when a candidate with a
 //     smaller deterministic order (parent position, action index) arrives,
-//     so each key's surviving candidate is the one the sequential search
+//     so each key's surviving candidate is the one the sequential loop
 //     would have kept — independent of goroutine interleaving. Losers are
 //     recycled into the claiming worker's free list immediately.
 //
 //  2. Merge (sequential). The claim-table winners are drained, sorted by
-//     their deterministic order, and appended to the flat node arena in
-//     exactly the order the sequential search would have inserted them —
-//     sealing their keys into the visited map, assigning identical int32
-//     arena indices, and emitting the next frontier in identical order. Goal
-//     hits short-circuit the merge at the first winner in order, and
-//     Stats.Visited is reconstructed from the winner's parent position, so
-//     witness, replayed run, stats, and truncation behaviour are all
-//     bit-identical to the sequential search's. The differential tests
-//     assert exactly this.
+//     their deterministic order, and sealed in exactly the order the
+//     sequential loop would have inserted them: their keys enter the
+//     visited set, their generation records the level log, and the next
+//     frontier comes out in identical order. Goal hits short-circuit the
+//     merge at the first winner in order, the per-parent gates of the
+//     sequential loop (a valence census's stop) are re-checked in parent
+//     order, and Stats.Visited is reconstructed from the parent position,
+//     so witness, stats, and truncation behaviour are bit-identical to the
+//     sequential loop's. The kernel golden table pins exactly this.
 //
-// The only intentional divergence is wasted speculative work: the parallel
-// search expands a whole level before applying the goal/budget/stop gates
-// that the sequential search applies per dequeued parent, so a level's tail
-// may be explored and discarded. Results are unaffected.
+// The only intentional divergence is wasted speculative work: a chunk is
+// expanded before the gates that the sequential loop applies per parent,
+// so a chunk's tail may be explored and discarded. Results are unaffected.
 
 import (
 	"sort"
@@ -56,7 +55,6 @@ type candidate struct {
 	cfg     *sim.Configuration
 	key     uint64
 	ord     uint64
-	parent  int32
 	crashes int32
 	act     action
 	goalOK  bool
@@ -175,7 +173,6 @@ func (e *Explorer) expandLevel(ws []*searchCtx, frontier []qent, lo, hi int, vis
 						cfg:     cfg,
 						key:     sc.e.key(cfg, int(crashes)),
 						ord:     uint64(i)<<ordShift | uint64(ai),
-						parent:  parent.idx,
 						crashes: crashes,
 						act:     act,
 					}
@@ -197,160 +194,9 @@ func (e *Explorer) expandLevel(ws []*searchCtx, frontier []qent, lo, hi int, vis
 }
 
 // releaseLevel recycles the expanded parents frontier[lo:hi] across the
-// worker free lists, skipping keep (the caller-owned start configuration of
-// a valence search).
-func releaseLevel(ws []*searchCtx, frontier []qent, lo, hi int, keep *sim.Configuration) {
+// worker free lists.
+func releaseLevel(ws []*searchCtx, frontier []qent, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		if frontier[i].cfg != keep {
-			ws[i%len(ws)].release(frontier[i].cfg)
-		}
+		ws[i%len(ws)].release(frontier[i].cfg)
 	}
-}
-
-// searchParallel is the parallel frontier twin of the sequential BFS branch
-// of searchArena, with identical results: visited set, arena layout,
-// witness, stats, and truncation all match the sequential search exactly.
-func (e *Explorer) searchParallel(goal goalFunc, kind string) (*Witness, bool, *arena, error) {
-	start, err := e.initial()
-	if err != nil {
-		return nil, false, nil, err
-	}
-	ar := newArena()
-	rootIdx := ar.root(e.key(start, 0))
-	stats := Stats{}
-
-	if detail, ok := goal(&e.sc, start); ok {
-		run, err := e.replay(ar, rootIdx)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, ar, nil
-	}
-
-	ws := e.workerCtxs(e.searchWorkers())
-	ct := newClaimTable()
-	frontier := []qent{{cfg: start, idx: rootIdx}}
-	var winners []candidate
-	level := 0
-	for len(frontier) > 0 {
-		if stats.Visited >= e.opts.MaxConfigs {
-			stats.Truncated = true
-			return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-		}
-		if e.cancelled() {
-			stats.Truncated = true
-			stats.Cancelled = true
-			return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-		}
-		limit := len(frontier)
-		if remaining := e.opts.MaxConfigs - stats.Visited; limit > remaining {
-			limit = remaining
-		}
-		e.expandLevel(ws, frontier, 0, limit, ar.visited, ct, goal)
-		winners = ct.take(winners)
-
-		nextFrontier := make([]qent, 0, len(winners))
-		for _, w := range winners {
-			idx, fresh := ar.insert(w.key, w.parent, w.act)
-			if !fresh {
-				// Unreachable: sealed keys were dropped during expansion and
-				// within-level duplicates were resolved by the claim table.
-				ws[0].release(w.cfg)
-				continue
-			}
-			if w.goalOK {
-				// The sequential search finds this witness while expanding
-				// the winner's parent, having dequeued every parent up to
-				// and including it.
-				stats.Visited += int(w.ord>>ordShift) + 1
-				run, err := e.replay(ar, idx)
-				if err != nil {
-					return nil, false, nil, err
-				}
-				return &Witness{Kind: kind, Run: run, Detail: w.detail, Stats: stats}, true, ar, nil
-			}
-			nextFrontier = append(nextFrontier, qent{cfg: w.cfg, idx: idx, crashes: w.crashes})
-		}
-		stats.Visited += limit
-		releaseLevel(ws, frontier, 0, limit, nil)
-		if limit < len(frontier) {
-			// The budget ran out mid-level: the sequential search truncates
-			// with these parents still queued.
-			stats.Truncated = true
-			return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-		}
-		frontier = nextFrontier
-		level++
-		e.progress(stats.Visited, level)
-	}
-	return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-}
-
-// valenceFromParallel is the parallel frontier twin of the sequential
-// valenceFrom, emulating its per-parent stop and budget gates during the
-// merge so that the returned values and stats match the sequential
-// computation exactly — including early stops, where the level's remaining
-// speculative work is discarded just like the sequential search abandons its
-// queue.
-func (e *Explorer) valenceFromParallel(start *sim.Configuration, crashesSpent, stopAt int) ([]sim.Value, Stats, error) {
-	seenVals := map[sim.Value]bool{}
-	collectDecisions(seenVals, start)
-	stats := Stats{}
-	// Valence only censuses decision values — no witness path is ever
-	// reconstructed — so revisit detection needs the compact visited set
-	// alone; no node arena is kept whatever the store mode.
-	vis := e.newVisited()
-	vis.Insert(e.key(start, crashesSpent))
-	ws := e.workerCtxs(e.searchWorkers())
-	ct := newClaimTable()
-	frontier := []qent{{cfg: start, crashes: int32(crashesSpent)}}
-	var winners []candidate
-	stopped := false
-	for len(frontier) > 0 && !stopped {
-		e.expandLevel(ws, frontier, 0, len(frontier), vis, ct, nil)
-		winners = ct.take(winners)
-
-		// Serial-gate emulation: dequeue the level's parents in order,
-		// re-checking the stop and budget gates before each, and fold in the
-		// decisions of each parent's fresh children as they are sealed.
-		pos := -1 // highest parent position dequeued so far
-		dequeueThrough := func(target int) bool {
-			for pos < target {
-				if stopAt > 0 && len(seenVals) >= stopAt {
-					return false
-				}
-				if stats.Visited >= e.opts.MaxConfigs {
-					stats.Truncated = true
-					return false
-				}
-				pos++
-				stats.Visited++
-			}
-			return true
-		}
-		nextFrontier := make([]qent, 0, len(winners))
-		for _, w := range winners {
-			if !dequeueThrough(int(w.ord >> ordShift)) {
-				stopped = true
-				break
-			}
-			if !vis.Insert(w.key) {
-				ws[0].release(w.cfg) // unreachable, as in searchParallel
-				continue
-			}
-			collectDecisions(seenVals, w.cfg)
-			nextFrontier = append(nextFrontier, qent{cfg: w.cfg, crashes: w.crashes})
-		}
-		if !stopped && !dequeueThrough(len(frontier)-1) {
-			stopped = true
-		}
-		releaseLevel(ws, frontier, 0, len(frontier), start)
-		frontier = nextFrontier
-	}
-	vals := make([]sim.Value, 0, len(seenVals))
-	for v := range seenVals {
-		vals = append(vals, v)
-	}
-	sortValues(vals)
-	return vals, stats, nil
 }

@@ -108,11 +108,11 @@ package explore
 //
 // porPlan is a pure function of the configuration's content (crash flags,
 // buffer sizes, states) — it reads neither the visited set nor any search
-// order — so the serial BFS/DFS, the level-synchronous parallel frontier,
-// and the valence/critical analyses all enumerate byte-identical action
-// lists per configuration, and the PR 2 bit-identity guarantee (same
-// visited set, arena layout, witness, and stats at every worker count)
-// carries over to reduced searches unchanged. Composition with
+// order — so the serial BFS/DFS, the kernel's parallel fan-out, and the
+// valence/critical analyses all enumerate byte-identical action lists per
+// configuration, and the bit-identity guarantee (same visited set, level
+// logs, witness, and stats at every worker count) carries over to reduced
+// searches unchanged. Composition with
 // Options.Symmetry is sound for the same reason symmetry itself is: the
 // commutation argument above is applied at each concretely explored
 // configuration, the measure (pending messages) is orbit-invariant, and

@@ -65,11 +65,11 @@ func TestPORVerdictParity(t *testing.T) {
 		for _, d := range porInstances() {
 			for _, g := range goals {
 				t.Run(l.name+"/"+d.name+"/"+g.name, func(t *testing.T) {
-					plainW, plainFound, _, err := l.plain(d).searchArena(g.goal, g.name)
+					plainW, plainFound, err := l.plain(d).search(g.goal, g.name)
 					if err != nil {
 						t.Fatal(err)
 					}
-					porW, porFound, _, err := l.reduced(d).searchArena(g.goal, g.name)
+					porW, porFound, err := l.reduced(d).search(g.goal, g.name)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -99,7 +99,7 @@ func TestPORVerdictParity(t *testing.T) {
 func TestPORStrictReductionUniformTheorem2(t *testing.T) {
 	d := diffInstance{"minwait-n4-uniform-t2", algorithms.MinWait{F: 1}, []sim.Value{0, 0, 0, 0}, []sim.ProcessID{1, 2, 3, 4}, 1}
 	visited := func(e *Explorer) int {
-		w, found, _, err := e.searchArena(disagreementGoal, "disagreement")
+		w, found, err := e.search(disagreementGoal, "disagreement")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,69 +124,6 @@ func TestPORStrictReductionUniformTheorem2(t *testing.T) {
 	t.Logf("uniform Theorem 2 instance: plain %d, por %d (%.1fx), sym %d, por+sym %d (%.1fx beyond sym, %.1fx total)",
 		plain, por, float64(plain)/float64(por), sym, both,
 		float64(sym)/float64(both), float64(plain)/float64(both))
-}
-
-// TestPORParallelMatchesSerial asserts that the level-synchronous parallel
-// frontier with partial-order reduction produces results bit-identical to
-// the serial reduced search at every worker count, with and without
-// symmetry stacked on top: the reduction plan is a pure function of the
-// configuration, so the PR 2 determinism guarantee carries over to reduced
-// action enumerations. Run under -race in CI.
-func TestPORParallelMatchesSerial(t *testing.T) {
-	goals := []struct {
-		name string
-		goal goalFunc
-	}{
-		{"disagreement", disagreementGoal},
-		{"blocking", blockingGoal},
-	}
-	for _, symmetry := range []bool{false, true} {
-		name := "por"
-		if symmetry {
-			name = "por+sym"
-		}
-		for _, d := range porInstances() {
-			for _, g := range goals {
-				t.Run(name+"/"+d.name+"/"+g.name, func(t *testing.T) {
-					seqW, seqFound, seqAr, err := d.explorerPOR(1, symmetry).searchArena(g.goal, g.name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, workers := range []int{2, 4} {
-						parW, parFound, parAr, err := d.explorerPOR(workers, symmetry).searchArena(g.goal, g.name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if parFound != seqFound {
-							t.Fatalf("workers=%d: found=%t, serial found=%t", workers, parFound, seqFound)
-						}
-						if parW.Stats != seqW.Stats {
-							t.Fatalf("workers=%d: stats %+v, serial %+v", workers, parW.Stats, seqW.Stats)
-						}
-						if seqFound {
-							if parW.Detail != seqW.Detail {
-								t.Fatalf("workers=%d: detail %q, serial %q", workers, parW.Detail, seqW.Detail)
-							}
-							if got, want := runSignature(parW.Run), runSignature(seqW.Run); got != want {
-								t.Fatalf("workers=%d: witness run diverged:\n got %s\nwant %s", workers, got, want)
-							}
-							continue
-						}
-						if parAr.visited.Len() != seqAr.visited.Len() || len(parAr.nodes) != len(seqAr.nodes) {
-							t.Fatalf("workers=%d: visited %d nodes %d, serial visited %d nodes %d",
-								workers, parAr.visited.Len(), len(parAr.nodes), seqAr.visited.Len(), len(seqAr.nodes))
-						}
-						seqAr.visited.Range(func(key uint64) bool {
-							if !parAr.visited.Contains(key) {
-								t.Fatalf("workers=%d: parallel search missed visited key %#x", workers, key)
-							}
-							return true
-						})
-					}
-				})
-			}
-		}
-	}
 }
 
 // TestPORDFSVerdictParity asserts verdict parity on the depth-first search
@@ -277,11 +214,11 @@ func TestPORStandsDownWithoutDeliverAll(t *testing.T) {
 					POR:        por,
 				})
 			}
-			plainW, plainFound, plainAr, err := build(false).searchArena(disagreementGoal, "disagreement")
+			plainW, plainFound, plainVis, err := searchWithKeys(build(false), disagreementGoal, "disagreement")
 			if err != nil {
 				t.Fatal(err)
 			}
-			porW, porFound, porAr, err := build(true).searchArena(disagreementGoal, "disagreement")
+			porW, porFound, porVis, err := searchWithKeys(build(true), disagreementGoal, "disagreement")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,11 +226,11 @@ func TestPORStandsDownWithoutDeliverAll(t *testing.T) {
 				t.Fatalf("restricted-modes POR diverged: found=%t stats=%+v, plain found=%t stats=%+v",
 					porFound, porW.Stats, plainFound, plainW.Stats)
 			}
-			if porAr.visited.Len() != plainAr.visited.Len() {
-				t.Fatalf("restricted-modes POR visited %d keys, plain %d", porAr.visited.Len(), plainAr.visited.Len())
+			if porVis.Len() != plainVis.Len() {
+				t.Fatalf("restricted-modes POR visited %d keys, plain %d", porVis.Len(), plainVis.Len())
 			}
-			plainAr.visited.Range(func(key uint64) bool {
-				if !porAr.visited.Contains(key) {
+			plainVis.Range(func(key uint64) bool {
+				if !porVis.Contains(key) {
 					t.Fatalf("restricted-modes POR missed visited key %#x", key)
 				}
 				return true

@@ -116,124 +116,27 @@ func (sc *searchCtx) quiescentBlocked(cfg *sim.Configuration) (sim.ProcessID, bo
 	return undecided, true
 }
 
-// qent is one frontier entry of a search: a live configuration, its arena
-// index, and the crash budget already spent reaching it.
+// qent is one frontier entry of a search: a live configuration and the
+// crash budget already spent reaching it.
 type qent struct {
 	cfg     *sim.Configuration
-	idx     int32
 	crashes int32
 }
 
 // search runs a BFS or DFS (per Options.Strategy) from the initial
-// configuration until goal holds. Visited detection keys the arena by
-// configuration fingerprint; retired configurations are recycled through the
-// search context's free list. BFS searches with more than one worker run on
-// the level-synchronous parallel frontier of parallel.go, which produces
-// results identical to the sequential search. Bounded stores
-// (Options.Store != StoreInMemory) route to the frontier-only engines of
-// bounded.go, whose results are bit-identical too.
+// configuration until goal holds. Breadth-first searches run on the
+// level-synchronous kernel of bounded.go at every store and worker count;
+// depth-first searches on its cons-list twin.
 func (e *Explorer) search(goal goalFunc, kind string) (*Witness, bool, error) {
-	if e.opts.Checkpoint != "" && e.opts.Store == StoreInMemory {
-		return nil, false, fmt.Errorf("explore: Options.Checkpoint requires a bounded store (StoreFrontierOnly or StoreSpill)")
+	if e.opts.Strategy == "dfs" {
+		return e.searchBoundedDFS(goal, kind)
 	}
-	if e.opts.Store != StoreInMemory {
-		if e.opts.Strategy == "dfs" {
-			return e.searchBoundedDFS(goal, kind)
-		}
-		return e.searchBounded(goal, kind)
-	}
-	w, found, _, err := e.searchArena(goal, kind)
-	return w, found, err
-}
-
-// searchArena is search exposing the final arena, which the differential
-// tests inspect to prove visited-set equality between the sequential and
-// parallel engines.
-func (e *Explorer) searchArena(goal goalFunc, kind string) (*Witness, bool, *arena, error) {
-	dfs := e.opts.Strategy == "dfs"
-	if !dfs && e.searchWorkers() > 1 {
-		return e.searchParallel(goal, kind)
-	}
-
-	start, err := e.initial()
-	if err != nil {
-		return nil, false, nil, err
-	}
-	ar := newArena()
-	rootIdx := ar.root(e.key(start, 0))
-	queue := []qent{{cfg: start, idx: rootIdx}}
-	stats := Stats{}
-
-	if detail, ok := goal(&e.sc, start); ok {
-		run, err := e.replay(ar, rootIdx)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, ar, nil
-	}
-
-	for len(queue) > 0 {
-		if stats.Visited >= e.opts.MaxConfigs {
-			stats.Truncated = true
-			return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-		}
-		if stats.Visited%cancelInterval == 0 && e.cancelled() {
-			stats.Truncated = true
-			stats.Cancelled = true
-			return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-		}
-		if stats.Visited > 0 && stats.Visited%progressInterval == 0 {
-			// The arena engine interleaves its queue (BFS) or stack (DFS)
-			// without tracking depth, so progress reports carry no level.
-			e.progress(stats.Visited, -1)
-		}
-		var cur qent
-		if dfs {
-			cur = queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-		} else {
-			cur = queue[0]
-			queue = queue[1:]
-		}
-		stats.Visited++
-
-		for _, act := range e.actions(cur.cfg, int(cur.crashes)) {
-			next, ok := e.apply(cur.cfg, act)
-			if !ok {
-				continue
-			}
-			crashes := cur.crashes
-			if act.Crash {
-				crashes++
-			}
-			idx, fresh := ar.insert(e.key(next, int(crashes)), cur.idx, act)
-			if !fresh {
-				e.release(next)
-				continue
-			}
-			if detail, ok := goal(&e.sc, next); ok {
-				run, err := e.replay(ar, idx)
-				if err != nil {
-					return nil, false, nil, err
-				}
-				return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, ar, nil
-			}
-			queue = append(queue, qent{cfg: next, idx: idx, crashes: crashes})
-		}
-		e.release(cur.cfg)
-	}
-	return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-}
-
-// replay re-executes the arena path to idx from the initial configuration,
-// producing a recorded run.
-func (e *Explorer) replay(ar *arena, idx int32) (*sim.Run, error) {
-	return e.replayActions(ar.path(idx))
+	return e.searchBounded(goal, kind)
 }
 
 // replayActions re-executes an explicit action sequence from the initial
-// configuration, producing a recorded run: the shared tail of arena-path
-// replay and of the bounded engines' log-reconstructed witnesses.
+// configuration, producing a recorded run: the tail of every witness
+// reconstruction.
 func (e *Explorer) replayActions(acts []action) (*sim.Run, error) {
 	// Always replay on the pointer engine: the Run and its Final
 	// configuration escape to callers (state inspection, further Apply

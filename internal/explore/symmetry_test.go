@@ -57,11 +57,11 @@ func TestSymmetryVerdictParity(t *testing.T) {
 	for _, d := range symInstances() {
 		for _, g := range goals {
 			t.Run(d.name+"/"+g.name, func(t *testing.T) {
-				plainW, plainFound, _, err := d.explorerWorkers(1).searchArena(g.goal, g.name)
+				plainW, plainFound, err := d.explorerWorkers(1).search(g.goal, g.name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				symW, symFound, _, err := d.explorerSym(1).searchArena(g.goal, g.name)
+				symW, symFound, err := d.explorerSym(1).search(g.goal, g.name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,11 +88,11 @@ func TestSymmetryVerdictParity(t *testing.T) {
 // configurations than the plain search.
 func TestSymmetryStrictReductionUniformTheorem2(t *testing.T) {
 	d := diffInstance{"minwait-n4-uniform-t2", algorithms.MinWait{F: 1}, []sim.Value{0, 0, 0, 0}, []sim.ProcessID{1, 2, 3, 4}, 1}
-	plainW, plainFound, _, err := d.explorerWorkers(1).searchArena(disagreementGoal, "disagreement")
+	plainW, plainFound, err := d.explorerWorkers(1).search(disagreementGoal, "disagreement")
 	if err != nil {
 		t.Fatal(err)
 	}
-	symW, symFound, _, err := d.explorerSym(1).searchArena(disagreementGoal, "disagreement")
+	symW, symFound, err := d.explorerSym(1).search(disagreementGoal, "disagreement")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,62 +108,6 @@ func TestSymmetryStrictReductionUniformTheorem2(t *testing.T) {
 	}
 	t.Logf("uniform Theorem 2 instance: plain %d nodes, symmetry %d nodes (%.1fx reduction)",
 		plainW.Stats.Visited, symW.Stats.Visited, float64(plainW.Stats.Visited)/float64(symW.Stats.Visited))
-}
-
-// TestSymmetryParallelMatchesSerial asserts that the level-synchronous
-// parallel frontier with symmetry reduction produces results bit-identical
-// to the serial symmetry-reduced search at every worker count: the claim
-// arbitration is key-agnostic, so the PR 2 determinism guarantee carries
-// over to orbit-canonical keys. Run under -race in CI.
-func TestSymmetryParallelMatchesSerial(t *testing.T) {
-	goals := []struct {
-		name string
-		goal goalFunc
-	}{
-		{"disagreement", disagreementGoal},
-		{"blocking", blockingGoal},
-	}
-	for _, d := range symInstances() {
-		for _, g := range goals {
-			t.Run(d.name+"/"+g.name, func(t *testing.T) {
-				seqW, seqFound, seqAr, err := d.explorerSym(1).searchArena(g.goal, g.name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{2, 4} {
-					parW, parFound, parAr, err := d.explorerSym(workers).searchArena(g.goal, g.name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if parFound != seqFound {
-						t.Fatalf("workers=%d: found=%t, serial found=%t", workers, parFound, seqFound)
-					}
-					if parW.Stats != seqW.Stats {
-						t.Fatalf("workers=%d: stats %+v, serial %+v", workers, parW.Stats, seqW.Stats)
-					}
-					if seqFound {
-						if parW.Detail != seqW.Detail {
-							t.Fatalf("workers=%d: detail %q, serial %q", workers, parW.Detail, seqW.Detail)
-						}
-						if got, want := runSignature(parW.Run), runSignature(seqW.Run); got != want {
-							t.Fatalf("workers=%d: witness run diverged:\n got %s\nwant %s", workers, got, want)
-						}
-						continue
-					}
-					if parAr.visited.Len() != seqAr.visited.Len() || len(parAr.nodes) != len(seqAr.nodes) {
-						t.Fatalf("workers=%d: visited %d nodes %d, serial visited %d nodes %d",
-							workers, parAr.visited.Len(), len(parAr.nodes), seqAr.visited.Len(), len(seqAr.nodes))
-					}
-					seqAr.visited.Range(func(key uint64) bool {
-						if !parAr.visited.Contains(key) {
-							t.Fatalf("workers=%d: parallel search missed visited key %#x", workers, key)
-						}
-						return true
-					})
-				}
-			})
-		}
-	}
 }
 
 // TestSymmetryValenceParity asserts that valence classification — the

@@ -6,8 +6,8 @@ package explore
 // the key's top byte; the second level is a per-shard open-addressed,
 // linear-probed slot array of raw keys, grown shard-locally at 3/4 load.
 //
-// The set replaces the former map[uint64]int32 visited map: no search path
-// ever read the mapped arena index (revisit detection is pure membership),
+// The set replaces a former map[uint64]int32 visited map: no search path
+// ever read the mapped node index (revisit detection is pure membership),
 // and a Go map burns ~50 B per uint64 entry in buckets, overflow pointers,
 // and load slack. Here a sealed key costs one uint64 slot — between 10.7 B
 // (just after a shard doubles) and 16 B (just before) per state — which is
@@ -22,10 +22,10 @@ package explore
 // diffused fingerprint — is tracked by a dedicated flag because empty slots
 // are encoded as zero.
 //
-// The set is not safe for concurrent writers. The parallel frontier engine
+// The set is not safe for concurrent writers. The kernel's parallel fan-out
 // needs no locks around it: during level expansion workers only read
 // (sealed keys are immutable for the level), and all inserts happen in the
-// sequential merge phase — the same discipline the arena's map used.
+// sequential merge phase.
 
 // visShards is the first-level fan-out. 256 keeps the per-shard slot arrays
 // small enough that doubling one is cheap, while the fixed top-byte split
