@@ -55,8 +55,8 @@ func run(args []string) int {
 	searchWorkers := fs.Int("search-workers", 0, "worker goroutines per frontier search (0 = GOMAXPROCS, 1 = sequential)")
 	symmetry := fs.Bool("symmetry", false, "orbit-canonical revisit detection in state-space searches (collapses process-renamed configurations; see README, Reductions)")
 	por := fs.Bool("por", false, "partial-order reduction in state-space searches (prunes interleavings of commuting steps once sending is over; composes with -symmetry; see README, Reductions)")
-	store := fs.String("store", "", "search memory regime: inmem (default), frontier (visited keys + two BFS levels only), or spill (frontier + sealed levels on disk); see README, Memory & checkpoints")
-	checkpoint := fs.String("checkpoint", "", "directory for pausing truncated bounded searches and resuming them on the next run (requires -store frontier or spill)")
+	store := fs.String("store", "", "search memory regime: inmem (default; 8 B/state level log in memory), frontier (visited keys + two BFS levels only), or spill (level log on disk); see README, Memory & checkpoints")
+	checkpoint := fs.String("checkpoint", "", "directory for pausing truncated breadth-first searches and resuming them on the next run")
 	faults := fs.String("faults", "", "fault model of state-space search adversaries beyond crashes: model[:budget[:maxfaulty]] with model send-omission, receive-omission, or byzantine (default crash-only); see README, Fault models")
 	packed := fs.String("packed", "", "configuration engine: off (default, pointer-based) or on/auto (packed struct-of-arrays records where the algorithm supports them; bit-identical results, lower memory and time); see README, Packed engine")
 	writeGolden := fs.String("write-golden", "", "write each table to <dir>/<ID>.txt instead of stdout")
@@ -79,10 +79,6 @@ func run(args []string) int {
 	}
 	if *shards != 1 {
 		fmt.Fprintln(os.Stderr, "experiments: -shards requires -instance")
-		return 2
-	}
-	if *checkpoint != "" && (*store == "" || *store == "inmem") {
-		fmt.Fprintln(os.Stderr, "experiments: -checkpoint requires -store frontier or -store spill")
 		return 2
 	}
 	// One Searcher value carries every search knob (and validates the store

@@ -39,18 +39,13 @@ func run() int {
 		workers   = flag.Int("search-workers", 0, "worker goroutines per bfs frontier search (0 = GOMAXPROCS, 1 = sequential)")
 		symmetry  = flag.Bool("symmetry", false, "orbit-canonical revisit detection in the <D-bar> search (no-op for the distinct proposals Theorem 1 requires; pays off for repeated-input vetting)")
 		por       = flag.Bool("por", false, "partial-order reduction in the <D-bar> search (prunes interleavings of commuting steps once every live process has finished sending; composes with -symmetry)")
-		store     = flag.String("store", "", "search memory regime: inmem (default), frontier (visited keys + two BFS levels only), or spill (frontier + sealed levels on disk)")
-		ckpt      = flag.String("checkpoint", "", "directory for pausing truncated bounded <D-bar> searches and resuming them on the next run (requires -store frontier or spill and -strategy bfs)")
+		store     = flag.String("store", "", "search memory regime: inmem (default; 8 B/state level log in memory), frontier (visited keys + two BFS levels only), or spill (level log on disk)")
+		ckpt      = flag.String("checkpoint", "", "directory for pausing truncated <D-bar> searches and resuming them on the next run (requires -strategy bfs)")
 		faults    = flag.String("faults", "", "fault model of the <D-bar> adversary beyond crashes: model[:budget[:maxfaulty]] with model send-omission, receive-omission, or byzantine (default crash-only)")
 		packed    = flag.String("packed", "", "configuration engine: off (default, pointer-based) or on/auto (packed struct-of-arrays records where the algorithm supports them; bit-identical verdicts, lower memory and time)")
 		verbose   = flag.Bool("v", false, "print the per-condition explanation")
 	)
 	flag.Parse()
-
-	if *ckpt != "" && (*store == "" || *store == "inmem") {
-		fmt.Fprintln(os.Stderr, "impossibility: -checkpoint requires -store frontier or -store spill")
-		return 2
-	}
 
 	// One Searcher value carries every search knob (and validates the store
 	// and fault spellings); both the Theorem 10 path and the generic engine

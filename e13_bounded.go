@@ -11,8 +11,8 @@ import (
 
 // E13Params parameterizes the memory-bounded exploration experiment: the
 // uniform-input Theorem 2 shape (every process proposes the same value, all
-// n live, a multi-crash adversary budget) scaled past what the in-memory
-// arena engine can hold, explored exhaustively by the frontier-only store.
+// n live, a multi-crash adversary budget) scaled past the default search
+// budget, explored exhaustively by the frontier-only store.
 type E13Params struct {
 	// N is the system size; all processes are live and propose value 0.
 	N int
@@ -21,9 +21,9 @@ type E13Params struct {
 	F int
 	// Budget is the adversary's crash budget.
 	Budget int
-	// InMemMaxConfigs caps the in-memory comparison row; the default arena
-	// budget (explore.DefaultMaxConfigs), at which that engine truncates on
-	// this instance.
+	// InMemMaxConfigs caps the in-memory comparison row; the default search
+	// budget (explore.DefaultMaxConfigs), at which it truncates on this
+	// instance.
 	InMemMaxConfigs int
 	// MaxConfigs caps the bounded rows, set above the instance's full
 	// reduced state-space size so they run to exhaustion.
@@ -38,8 +38,8 @@ type E13Params struct {
 }
 
 // DefaultE13Params returns the instance used by cmd/experiments: n = 8,
-// whose ~766k-state reduced space is past the in-memory engine's default
-// arena budget (the truncation contrast is real), overridable to a smaller
+// whose ~766k-state reduced space is past the default search budget (the
+// truncation contrast is real), overridable to a smaller
 // system via the E13_N environment variable (6 or 7). The nightly
 // GOMEMLIMIT=1GiB gate runs E13_N=7 — measured live heap ~280 MB for the
 // bounded row, far under the cap — because at n = 8 the live BFS frontier
@@ -65,25 +65,24 @@ func DefaultE13Params() E13Params {
 }
 
 // ExperimentBoundedExploration (E13) demonstrates the memory-bounded
-// exploration core on an instance the in-memory engine cannot finish: the
+// exploration core on an instance the default budget cannot finish: the
 // uniform-input Theorem 2 shape at n processes with a multi-crash budget,
 // symmetry and partial-order reduction stacked (uniform proposals give the
 // full symmetric group as stabilizer — the reductions' best case — and the
-// space is still out of the arena engine's reach). Uniform proposals make
+// space is still past the default budget). Uniform proposals make
 // disagreement unreachable (validity), so the exhaustive verification "no
 // disagreement exists" is the product — precisely the workload whose visited
 // set dwarfs its frontier.
 //
-// The in-memory row truncates at its arena budget: every visited
-// configuration costs it an arena node plus a visited key (~45 B today
-// with the compact visited set; ~90 B under the pre-compaction map), so
-// its default budget stops the search at a fraction of the space and
-// raising the budget multiplies a footprint the bounded store simply does
-// not carry. The frontier-only row completes the same search, retaining
+// The in-memory row truncates at the default budget: every visited
+// configuration costs it a visited key plus an 8-byte level record held in
+// memory (~23-26 B/state measured at n = 6 and 7; ~45 B under the former
+// arena of 32-byte nodes), so the budget stops the search at a fraction of
+// the space. The frontier-only row completes the same search, retaining
 // ~11-16 B per visited state (the open-addressed visited-key set) plus two
-// BFS levels; the spill row additionally streams the 8 B/state
-// level-generation log to disk, which is what witness reconstruction and
-// checkpoints read back. All rows are deterministic, and the bounded rows'
+// BFS levels; the spill row streams the 8 B/state level-generation log to
+// disk instead, which is what witness reconstruction and checkpoints read
+// back. All rows are deterministic, and the bounded rows'
 // visited counts are the instance's exact reduced state-space size. The
 // nightly CI workflow re-runs this experiment at E13_N=7 under
 // GOMEMLIMIT=1GiB (measured live heap ~280 MB) and at full scale without
@@ -91,13 +90,13 @@ func DefaultE13Params() E13Params {
 func ExperimentBoundedExploration(p E13Params) (*Table, error) {
 	t := &Table{
 		ID:    "E13",
-		Title: "Memory-bounded exploration: uniform Theorem 2 beyond the in-memory arena",
+		Title: "Memory-bounded exploration: uniform Theorem 2 beyond the default budget",
 		Columns: []string{
 			"store", "n", "f", "budget", "maxconfigs", "visited", "outcome", "detail",
 		},
 		Notes: []string{
 			"uniform inputs, all processes live, symmetry+POR stacked; MinWait(f) under a crash-budget adversary",
-			"inmem retains ~45 B/state (arena node + visited key) and truncates at its default budget;",
+			"inmem retains ~23-26 B/state (visited key + 8 B level record) and truncates at its default budget;",
 			"frontier retains ~11-16 B/state (open-addressed visited keys) plus two live BFS levels and completes;",
 			"spill additionally streams the 8 B/state level-generation log to disk (checkpoint/witness source)",
 			"nightly CI re-runs this experiment at E13_N=7 under GOMEMLIMIT=1GiB and at full scale uncapped",
@@ -128,14 +127,6 @@ func ExperimentBoundedExploration(p E13Params) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E13: %w", err)
 		}
-		// Checkpointing requires a bounded store, so the in-memory
-		// comparison row must not inherit the configured checkpoint
-		// directory — with it, `-checkpoint` would abort the one experiment
-		// built to demonstrate checkpointing.
-		checkpoint := search.Options().Checkpoint
-		if store == explore.StoreInMemory {
-			checkpoint = ""
-		}
 		e := explore.New(algorithms.MinWait{F: p.F}, inputs, explore.Options{
 			Live:       live,
 			MaxCrashes: p.Budget,
@@ -144,7 +135,7 @@ func ExperimentBoundedExploration(p E13Params) (*Table, error) {
 			Symmetry:   true,
 			POR:        true,
 			Store:      store,
-			Checkpoint: checkpoint,
+			Checkpoint: search.Options().Checkpoint,
 		})
 		w, found, err := e.FindDisagreement()
 		if err != nil {
@@ -156,7 +147,7 @@ func ExperimentBoundedExploration(p E13Params) (*Table, error) {
 		outcome, detail := "exhausted", "no disagreement reachable (validity verified exhaustively)"
 		if w.Stats.Truncated {
 			outcome = "truncated"
-			detail = "arena budget reached; verdict inconclusive"
+			detail = "budget reached; verdict inconclusive"
 			if w.Checkpoint != "" {
 				detail += " (paused state checkpointed)"
 			}

@@ -22,10 +22,8 @@ type E15Params struct {
 	// Shards lists the shard counts swept per instance.
 	Shards []int
 	// Search supplies the base search configuration; nil means default
-	// options. E15 derives from it:
-	// Checkpoint is stripped (sharded searches do not checkpoint) and an
-	// in-memory store is promoted to "frontier" so the plain baseline
-	// reports the same per-level profile the sharded coordinator does.
+	// options. E15 strips its Checkpoint: sharded searches do not
+	// checkpoint.
 	Search *Searcher
 }
 
@@ -72,9 +70,6 @@ func ExperimentShardedExploration(p E15Params) (*Table, error) {
 
 	base := orDefault(p.Search).Options()
 	base.Checkpoint = ""
-	if base.Store == "" || base.Store == "inmem" {
-		base.Store = "frontier"
-	}
 	search, err := NewSearcher(base)
 	if err != nil {
 		return nil, fmt.Errorf("E15: %w", err)

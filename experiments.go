@@ -116,7 +116,7 @@ func ExperimentsWith(s *Searcher) []Experiment {
 		{"E10", "Ablation: deterministic kernel vs goroutine runtime", func() (*Table, error) { return ExperimentRuntimeAblation() }},
 		{"E11", "Discussion outlook: partitioning in the Heard-Of round model", func() (*Table, error) { return ExperimentRoundModel() }},
 		{"E12", "Synchrony ladder: protocols across the Section II model dimensions", func() (*Table, error) { return ExperimentSynchronyLadder() }},
-		{"E13", "Memory-bounded exploration: uniform Theorem 2 beyond the in-memory arena", func() (*Table, error) {
+		{"E13", "Memory-bounded exploration: uniform Theorem 2 beyond the default budget", func() (*Table, error) {
 			p := DefaultE13Params()
 			p.Search = s
 			return ExperimentBoundedExploration(p)

@@ -16,8 +16,8 @@ import (
 // near 100ms, cheaper than several rows the gate already ran; no grid
 // reduction was needed. E13 is deterministic too but explores ~1.8M
 // configurations across its three rows (minutes of wall clock), so the
-// nightly workflow exercises it instead; its bounded-vs-in-memory parity is
-// already pinned at test scale by internal/explore/bounded_test.go. E14
+// nightly workflow exercises it instead; its store parity is already
+// pinned at test scale by internal/explore/golden_test.go. E14
 // (fault models) joined the gate immediately: its eight rows complete in
 // milliseconds and its visited counts pin the exact branching the omission
 // and Byzantine adversaries add to the search space. E15 (sharded

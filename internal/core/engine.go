@@ -102,13 +102,12 @@ type Instance struct {
 	Symmetry bool
 
 	// SearchStore selects the memory regime of the condition-(C)
-	// exploration: "" or "inmem" for the default arena-backed engine,
-	// "frontier" to retain only the compact fingerprint visited set plus the
-	// current and next BFS levels (witnesses reconstruct by bounded
-	// re-search), "spill" to additionally stream sealed levels to disk. The
-	// bounded stores apply to breadth-first searches in full and to DFS as a
-	// cons-list-path engine; results are bit-identical to the in-memory
-	// engine in every mode (see explore.Options.Store).
+	// exploration's breadth-first searches: "" or "inmem" (the default)
+	// keeps every level's generation records in memory, "frontier" retains
+	// only the compact fingerprint visited set plus the current and next
+	// BFS levels (witnesses reconstruct by bounded re-search), "spill"
+	// streams the records to disk. Depth-first searches ignore it; results
+	// are bit-identical in every mode (see explore.Options.Store).
 	SearchStore string
 
 	// SearchPacked selects the configuration engine of the condition-(C)
@@ -120,10 +119,9 @@ type Instance struct {
 	SearchPacked string
 
 	// Checkpoint, when non-empty, names a directory in which truncated
-	// bounded breadth-first condition-(C) searches persist their paused
-	// state and from which a later run of the same instance resumes;
-	// requires a bounded SearchStore and SearchStrategy "bfs" (see
-	// explore.Options.Checkpoint).
+	// breadth-first condition-(C) searches persist their paused state and
+	// from which a later run of the same instance resumes; requires
+	// SearchStrategy "bfs" (see explore.Options.Checkpoint).
 	Checkpoint string
 
 	// Ctx, when non-nil, cancels the condition-(C) exploration
@@ -137,8 +135,9 @@ type Instance struct {
 
 	// OnSearchProgress, when non-nil, receives periodic progress from the
 	// condition-(C) exploration (explore.Options.OnProgress): the cumulative
-	// visited count and the sealed BFS level, or level -1 from engines that
-	// do not track depth. Called from the search goroutine; must be fast.
+	// visited count and the sealed BFS level, or level -1 from depth-first
+	// searches, which do not track depth. Called from the search goroutine;
+	// must be fast.
 	OnSearchProgress func(visited, level int)
 
 	// OnSnapshotError, when non-nil, is notified once if the condition-(C)

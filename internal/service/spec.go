@@ -68,8 +68,8 @@ type InstanceSpec struct {
 	// Faults selects the fault adversary (explore.ParseFaults spelling).
 	Faults string `json:"faults,omitempty"`
 	// Checkpoint opts the job into the server's checkpoint directory:
-	// a cancelled or truncated bounded search pauses resumably. Requires a
-	// bounded Store and the "bfs" strategy.
+	// a cancelled or truncated breadth-first search pauses resumably.
+	// Requires the "bfs" strategy.
 	Checkpoint bool `json:"checkpoint,omitempty"`
 }
 
@@ -122,13 +122,8 @@ func (sp InstanceSpec) validate() error {
 	if err := (kset.Options{Store: sp.Store, Faults: sp.Faults, Packed: sp.Packed}).Validate(); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	if sp.Checkpoint {
-		if sp.Store == "" || sp.Store == "inmem" {
-			return fmt.Errorf("service: checkpoint requires store \"frontier\" or \"spill\"")
-		}
-		if sp.Goal == GoalImpossibility && sp.Strategy != "bfs" {
-			return fmt.Errorf("service: checkpoint requires strategy \"bfs\"")
-		}
+	if sp.Checkpoint && sp.Goal == GoalImpossibility && sp.Strategy != "bfs" {
+		return fmt.Errorf("service: checkpoint requires strategy \"bfs\"")
 	}
 	return nil
 }

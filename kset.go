@@ -248,9 +248,9 @@ func Simulate(alg Algorithm, inputs []Value, opts SimOptions) (*Run, error) {
 // SearchWorkers caps the number of goroutines expanding the frontier of
 // each condition-(C) state-space search (FindConsensusFailure, the E6
 // valence analyses, and any engine instance configured for breadth-first
-// search). Zero, the default, means GOMAXPROCS; 1 forces the exact
-// sequential legacy search. Whatever the worker count, parallel searches
-// return bit-identical results to the sequential ones — same visited set,
+// search). Zero, the default, means GOMAXPROCS; 1 forces the serial loop.
+// Whatever the worker count, parallel searches return bit-identical
+// results to the serial ones — same visited set,
 // same witness, same stats — so the knob is purely a performance control.
 // It composes with SweepWorkers: sweeps parallelize across independent
 // experiment cells, SearchWorkers parallelizes inside one search.
@@ -304,18 +304,18 @@ var SearchSymmetry = false
 var SearchPOR = false
 
 // SearchStore selects the memory regime of every condition-(C) state-space
-// search the facade spawns: "" or "inmem" keeps the default arena-backed
-// engine (full parent chains, fastest witness replay); "frontier" retains
-// only the compact ~16 bytes-per-state fingerprint visited set plus the
-// current and next BFS levels, reconstructing witnesses by a bounded
-// deterministic re-search; "spill" additionally streams sealed levels to a
-// temporary disk file (8 bytes per state) so witnesses and checkpoints
-// never re-search. Verdicts, stats, and witnesses are bit-identical across
-// the three stores at every worker count — the knob trades peak memory
-// against witness-reconstruction time, nothing else. The bounded stores are
-// what let exhaustive verification runs (E13's uniform Theorem 2 instances)
-// complete under a gigabyte-scale GOMEMLIMIT where the arena engine
-// truncates or thrashes. See explore.Options.Store and README "Memory &
+// search the facade spawns: "" or "inmem" keeps each BFS level's
+// generation records in memory (8 bytes per state, witnesses read straight
+// off them); "frontier" retains only the compact ~16 bytes-per-state
+// fingerprint visited set plus the current and next BFS levels,
+// reconstructing witnesses by a bounded deterministic re-search; "spill"
+// streams the generation records to a temporary disk file instead, so
+// witnesses and checkpoints never re-search. Verdicts, stats, and witnesses
+// are bit-identical across the three stores at every worker count — the
+// knob trades peak memory against witness-reconstruction time, nothing
+// else. The frontier-only and spill stores are what let exhaustive
+// verification runs (E13's uniform Theorem 2 instances) complete under a
+// gigabyte-scale GOMEMLIMIT. See explore.Options.Store and README "Memory &
 // checkpoints".
 //
 // Deprecated: use Options.Store with a Searcher; the global remains as the
@@ -323,14 +323,14 @@ var SearchPOR = false
 var SearchStore = ""
 
 // SearchCheckpoint, when non-empty, names a directory in which truncated
-// bounded breadth-first searches persist their paused state: a search that
+// breadth-first searches persist their paused state: a search that
 // stops at its MaxConfigs budget writes a small self-keyed checkpoint file
 // (the level-generation log, 8 bytes per visited state — the frontier and
 // visited set regenerate from it) and a later identical search resumes
 // where it stopped instead of starting over, so truncation becomes "pause",
-// not "lose everything". Requires a bounded SearchStore. Checkpoints are
-// keyed by a digest of the search instance, so many experiments can share
-// one directory. See explore.Options.Checkpoint.
+// not "lose everything". Checkpoints are keyed by a digest of the search
+// instance, so many experiments can share one directory. See
+// explore.Options.Checkpoint.
 //
 // Deprecated: use Options.Checkpoint with a Searcher; the global remains
 // as the seed of DefaultSearcher.

@@ -20,12 +20,12 @@ import (
 // Options bundles the facade's search knobs in CLI spelling — one immutable
 // value instead of the six deprecated Search* globals. The zero value is
 // the default configuration (GOMAXPROCS workers, no reductions, in-memory
-// arena store, no checkpointing, crash-only faults) and is always valid.
+// store, no checkpointing, crash-only faults) and is always valid.
 type Options struct {
 	// Workers caps the goroutines expanding the frontier of each
-	// breadth-first condition-(C) search (0 = GOMAXPROCS, 1 = the exact
-	// sequential legacy search). Results are bit-identical at every worker
-	// count; see the SearchWorkers global for the full discussion.
+	// breadth-first condition-(C) search (0 = GOMAXPROCS, 1 = the serial
+	// loop). Results are bit-identical at every worker count; see the
+	// SearchWorkers global for the full discussion.
 	Workers int
 	// Symmetry enables orbit-canonical revisit detection (SearchSymmetry).
 	Symmetry bool
@@ -34,8 +34,8 @@ type Options struct {
 	// Store selects the memory regime: "" or "inmem", "frontier", or
 	// "spill" (SearchStore).
 	Store string
-	// Checkpoint names the directory truncated bounded searches pause into,
-	// empty for none (SearchCheckpoint). Requires a bounded Store.
+	// Checkpoint names the directory truncated breadth-first searches pause
+	// into, empty for none (SearchCheckpoint).
 	Checkpoint string
 	// Faults selects the condition-(C) fault adversary in
 	// explore.ParseFaults spelling: "" or "crash", or
