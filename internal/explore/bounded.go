@@ -552,11 +552,7 @@ func (e *Explorer) searchBounded(goal goalFunc, kind string) (*Witness, bool, er
 	if fresh {
 		if detail, ok := goal(&e.sc, st.frontier[0].cfg); ok {
 			st.sink.discard()
-			run, err := e.replayActions(nil)
-			if err != nil {
-				return nil, false, err
-			}
-			return &Witness{Kind: kind, Run: run, Detail: detail, Stats: st.stats}, true, nil
+			return e.witness(kind, detail, nil, st.stats)
 		}
 	}
 	hit, err := e.runBounded(st, goal)
@@ -623,15 +619,7 @@ func (e *Explorer) snapshotLevel(st *boundedState) {
 	if e.opts.Checkpoint == "" || st.kind == "" || st.snapErr != nil || !st.sink.retained() {
 		return
 	}
-	p := &pausedSearch{
-		kind:    st.kind,
-		digest:  e.searchDigest(st.kind),
-		sink:    st.sink,
-		level:   st.level,
-		pos:     st.pos,
-		visited: st.stats.Visited,
-	}
-	if err := writeCheckpoint(e.checkpointFile(st.kind), p); err != nil {
+	if err := writeCheckpoint(e.checkpointFile(st.kind), e.paused(st)); err != nil {
 		// Latch the failure: later snapshots are skipped (the condition
 		// that broke the disk rarely heals mid-search, and retrying every
 		// level would stall it), and the degradation is surfaced — in
@@ -705,15 +693,21 @@ func (e *Explorer) runBounded(st *boundedState, goal goalFunc) (*boundedHit, err
 			e.release(parent.cfg)
 			st.pos++
 		}
-		st.frontier, st.next = st.next, nil
-		st.pos = 0
-		st.level++
-		e.snapshotLevel(st)
-		if !st.quiet {
-			e.progress(st.stats.Visited, st.level)
-		}
+		e.sealLevel(st)
 	}
 	return nil, nil
+}
+
+// sealLevel makes the next level the frontier once the current one is fully
+// expanded, and snapshots and reports the sealed boundary.
+func (e *Explorer) sealLevel(st *boundedState) {
+	st.frontier, st.next = st.next, nil
+	st.pos = 0
+	st.level++
+	e.snapshotLevel(st)
+	if !st.quiet {
+		e.progress(st.stats.Visited, st.level)
+	}
 }
 
 // runBoundedParallel is runBounded on the chunked parallel fan-out: each
@@ -807,13 +801,7 @@ func (e *Explorer) runBoundedParallel(st *boundedState, goal goalFunc) (*bounded
 			releaseLevel(ws, st.frontier, st.pos, st.pos+limit)
 			st.pos += limit
 		}
-		st.frontier, st.next = st.next, nil
-		st.pos = 0
-		st.level++
-		e.snapshotLevel(st)
-		if !st.quiet {
-			e.progress(st.stats.Visited, st.level)
-		}
+		e.sealLevel(st)
 	}
 	return nil, nil
 }
@@ -826,14 +814,7 @@ func (e *Explorer) runBoundedParallel(st *boundedState, goal goalFunc) (*bounded
 func (e *Explorer) pauseBounded(st *boundedState, kind string) (*Witness, bool, error) {
 	w := &Witness{Kind: kind, Stats: st.stats}
 	if st.sink.retained() {
-		p := &pausedSearch{
-			kind:    kind,
-			digest:  e.searchDigest(kind),
-			sink:    st.sink,
-			level:   st.level,
-			pos:     st.pos,
-			visited: st.stats.Visited,
-		}
+		p := e.paused(st)
 		if e.opts.Checkpoint != "" {
 			path := e.checkpointFile(kind)
 			if err := writeCheckpoint(path, p); err != nil {
@@ -860,6 +841,18 @@ func (e *Explorer) pauseBounded(st *boundedState, kind string) (*Witness, bool, 
 	return w, false, nil
 }
 
+// paused reduces a search with a retained level log to its regenerable core.
+func (e *Explorer) paused(st *boundedState) *pausedSearch {
+	return &pausedSearch{
+		kind:    st.kind,
+		digest:  e.searchDigest(st.kind),
+		sink:    st.sink,
+		level:   st.level,
+		pos:     st.pos,
+		visited: st.stats.Visited,
+	}
+}
+
 // boundedWitness reconstructs the action path to a hit from the retained
 // level logs — a backward walk reading one record per level — and replays
 // it into a recorded run.
@@ -874,11 +867,17 @@ func (e *Explorer) boundedWitness(sink levelSink, hit *boundedHit, kind string, 
 		acts[l-1] = rec.act
 		pos = int(rec.parent)
 	}
+	w, _, err := e.witness(kind, hit.detail, acts, stats)
+	return w, err
+}
+
+// witness replays acts into a found witness.
+func (e *Explorer) witness(kind, detail string, acts []action, stats Stats) (*Witness, bool, error) {
 	run, err := e.replayActions(acts)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return &Witness{Kind: kind, Run: run, Detail: hit.detail, Stats: stats}, nil
+	return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, nil
 }
 
 // searchBoundedDFS is the depth-first witness search at every store:
@@ -897,11 +896,7 @@ func (e *Explorer) searchBoundedDFS(goal goalFunc, kind string) (*Witness, bool,
 	}
 	stats := Stats{}
 	if detail, ok := goal(&e.sc, start); ok {
-		run, err := e.replayActions(nil)
-		if err != nil {
-			return nil, false, err
-		}
-		return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, nil
+		return e.witness(kind, detail, nil, stats)
 	}
 	type pathNode struct {
 		parent *pathNode
@@ -955,11 +950,7 @@ func (e *Explorer) searchBoundedDFS(goal goalFunc, kind string) (*Witness, bool,
 				for i, j := 0, len(acts)-1; i < j; i, j = i+1, j-1 {
 					acts[i], acts[j] = acts[j], acts[i]
 				}
-				run, err := e.replayActions(acts)
-				if err != nil {
-					return nil, false, err
-				}
-				return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, nil
+				return e.witness(kind, detail, acts, stats)
 			}
 			stack = append(stack, dent{cfg: next, path: node, crashes: crashes})
 		}

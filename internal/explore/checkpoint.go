@@ -1,9 +1,9 @@
 package explore
 
-// This file implements checkpoint persistence for bounded breadth-first
-// searches: Snapshot/Restore on the Explorer plus the automatic
-// save-on-truncate / resume-on-start flow driven by Options.Checkpoint
-// (see boundedStart and pauseBounded in bounded.go).
+// This file implements checkpoint persistence for breadth-first searches:
+// Snapshot/Restore on the Explorer plus the automatic save-on-truncate /
+// resume-on-start flow driven by Options.Checkpoint (see boundedStart and
+// pauseBounded in bounded.go).
 //
 // A checkpoint is deliberately tiny relative to the search it pauses: the
 // level logs (8 bytes per visited configuration) plus a fixed header. The
@@ -55,7 +55,7 @@ const (
 // search for the given goal kind: the algorithm, inputs, live set, crash
 // budget, delivery modes, active reductions, and the goal itself.
 // MaxConfigs, Workers, and Store are deliberately excluded — resuming with
-// a larger budget, a different worker count, or a different bounded store
+// a larger budget, a different worker count, or a different store
 // is exactly the point of a checkpoint, and none of them changes results.
 func (e *Explorer) searchDigest(kind string) uint64 {
 	h := sim.HashSeed()
@@ -131,14 +131,14 @@ func (e *Explorer) clearCheckpoint(kind string) {
 }
 
 // Snapshot persists the paused state of the explorer's most recent
-// truncated bounded search to path. A paused state exists after a bounded
+// truncated breadth-first search to path. A paused state exists after a
 // breadth-first search stopped at MaxConfigs with a retained level log —
-// that is, with Options.Checkpoint set or Store == StoreSpill. The search
-// resumes from the file via Restore on an explorer of the same instance
-// (typically one constructed with a larger MaxConfigs).
+// that is, on the in-memory or spill store, or with Options.Checkpoint set.
+// The search resumes from the file via Restore on an explorer of the same
+// instance (typically one constructed with a larger MaxConfigs).
 func (e *Explorer) Snapshot(path string) error {
 	if e.pending == nil {
-		return fmt.Errorf("explore: no paused search to snapshot (a bounded BFS must first truncate with a retained level log)")
+		return fmt.Errorf("explore: no paused search to snapshot (a BFS must first truncate with a retained level log)")
 	}
 	return writeCheckpoint(path, e.pending)
 }

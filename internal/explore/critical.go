@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"sort"
 
 	"kset/internal/sim"
 )
@@ -109,7 +110,7 @@ func (e *Explorer) valenceFrom(start *sim.Configuration, crashesSpent, stopAt in
 	for v := range c.seen {
 		vals = append(vals, v)
 	}
-	sortValues(vals)
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	return vals, st.stats, nil
 }
 
@@ -133,14 +134,6 @@ func (c *census) full() bool {
 func (c *census) goal(_ *searchCtx, cfg *sim.Configuration) (string, bool) {
 	collectDecisions(c.seen, cfg)
 	return "", false
-}
-
-func sortValues(vs []sim.Value) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
 }
 
 func boolToInt(b bool) int {

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -16,13 +17,12 @@ func legacyKey(cfg *sim.Configuration, crashes int) string {
 	return fmt.Sprintf("c%d|%s", crashes, cfg.Key())
 }
 
-// enumerate walks the full reachable space of e (which must be exhaustive
-// within maxConfigs), deduplicating either by the legacy string key or by
-// the fingerprint key, and returns the canonical (string) identity of every
-// distinct configuration visited. Equal result sets across the two modes
-// prove the fingerprint dedup neither merges distinct configurations
-// (collision) nor re-expands equal ones (incrementality bug).
-func enumerate(t *testing.T, e *Explorer, byFingerprint bool, maxConfigs int) map[string]bool {
+// legacyBFS walks the reachable space of e breadth-first, deduplicating
+// configurations by key (the legacy string key or a fingerprint key), and
+// calls visit on every distinct configuration in BFS order, the start
+// first. It stops as soon as visit returns true and reports whether it did;
+// past maxConfigs distinct configurations it fails the test.
+func legacyBFS(t *testing.T, e *Explorer, key func(*sim.Configuration, int) any, maxConfigs int, visit func(*sim.Configuration, int) bool) bool {
 	t.Helper()
 	start, err := e.initial()
 	if err != nil {
@@ -32,12 +32,13 @@ func enumerate(t *testing.T, e *Explorer, byFingerprint bool, maxConfigs int) ma
 		cfg     *sim.Configuration
 		crashes int
 	}
-	reached := map[string]bool{legacyKey(start, 0): true}
-	visitedStr := map[string]bool{legacyKey(start, 0): true}
-	visitedFP := map[uint64]bool{cfgKey(start, 0): true}
+	seen := map[any]bool{key(start, 0): true}
+	if visit(start, 0) {
+		return true
+	}
 	queue := []qent{{cfg: start}}
 	for len(queue) > 0 {
-		if len(reached) > maxConfigs {
+		if len(seen) > maxConfigs {
 			t.Fatalf("state space exceeds %d configurations; shrink the instance", maxConfigs)
 		}
 		cur := queue[0]
@@ -51,23 +52,48 @@ func enumerate(t *testing.T, e *Explorer, byFingerprint bool, maxConfigs int) ma
 			if act.Crash {
 				crashes++
 			}
-			var seen bool
-			if byFingerprint {
-				seen = visitedFP[cfgKey(next, crashes)]
-				visitedFP[cfgKey(next, crashes)] = true
-			} else {
-				seen = visitedStr[legacyKey(next, crashes)]
-				visitedStr[legacyKey(next, crashes)] = true
-			}
-			if seen {
+			k := key(next, crashes)
+			if seen[k] {
 				e.release(next)
 				continue
 			}
-			reached[legacyKey(next, crashes)] = true
+			seen[k] = true
+			if visit(next, crashes) {
+				return true
+			}
 			queue = append(queue, qent{cfg: next, crashes: crashes})
 		}
 	}
+	return false
+}
+
+// stringKey dedups legacyBFS by the legacy string key.
+func stringKey(cfg *sim.Configuration, crashes int) any { return legacyKey(cfg, crashes) }
+
+// reachedBy returns the legacy string identity of every configuration
+// legacyBFS reaches when deduplicating by key.
+func reachedBy(t *testing.T, e *Explorer, key func(*sim.Configuration, int) any, maxConfigs int) map[string]bool {
+	t.Helper()
+	reached := map[string]bool{}
+	legacyBFS(t, e, key, maxConfigs, func(cfg *sim.Configuration, crashes int) bool {
+		reached[legacyKey(cfg, crashes)] = true
+		return false
+	})
 	return reached
+}
+
+// enumerate walks the full reachable space of e (which must be exhaustive
+// within maxConfigs), deduplicating either by the legacy string key or by
+// the fingerprint key, and returns the canonical (string) identity of every
+// distinct configuration visited. Equal result sets across the two modes
+// prove the fingerprint dedup neither merges distinct configurations
+// (collision) nor re-expands equal ones (incrementality bug).
+func enumerate(t *testing.T, e *Explorer, byFingerprint bool, maxConfigs int) map[string]bool {
+	t.Helper()
+	if byFingerprint {
+		return reachedBy(t, e, func(cfg *sim.Configuration, crashes int) any { return cfgKey(cfg, crashes) }, maxConfigs)
+	}
+	return reachedBy(t, e, stringKey, maxConfigs)
 }
 
 // diffInstance is one small, exhaustively explorable system.
@@ -89,17 +115,17 @@ func diffInstances() []diffInstance {
 	}
 }
 
-func (d diffInstance) explorer() *Explorer {
-	return d.explorerWorkers(1)
-}
+// explorer builds the instance's explorer on the kernel's serial loop.
+func (d diffInstance) explorer() *Explorer { return d.reduced(false, false) }
 
-// explorerWorkers builds the instance's explorer with an explicit search
-// worker count (1 = the sequential legacy engine).
-func (d diffInstance) explorerWorkers(workers int) *Explorer {
+// reduced builds the instance's serial explorer with the given reductions.
+func (d diffInstance) reduced(symmetry, por bool) *Explorer {
 	return New(sim.Restrict(d.alg, d.live), d.inputs, Options{
 		Live:       d.live,
 		MaxCrashes: d.crashes,
-		Workers:    workers,
+		Workers:    1,
+		Symmetry:   symmetry,
+		POR:        por,
 	})
 }
 
@@ -168,43 +194,5 @@ func runSignature(r *sim.Run) string {
 // string-keyed dedup satisfies goal.
 func legacyGoalReachable(t *testing.T, d diffInstance, goal func(*sim.Configuration) bool) bool {
 	t.Helper()
-	e := d.explorer()
-	start, err := e.initial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if goal(start) {
-		return true
-	}
-	type qent struct {
-		cfg     *sim.Configuration
-		crashes int
-	}
-	visited := map[string]bool{legacyKey(start, 0): true}
-	queue := []qent{{cfg: start}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, act := range e.actions(cur.cfg, cur.crashes) {
-			next, ok := e.apply(cur.cfg, act)
-			if !ok {
-				continue
-			}
-			crashes := cur.crashes
-			if act.Crash {
-				crashes++
-			}
-			key := legacyKey(next, crashes)
-			if visited[key] {
-				e.release(next)
-				continue
-			}
-			visited[key] = true
-			if goal(next) {
-				return true
-			}
-			queue = append(queue, qent{cfg: next, crashes: crashes})
-		}
-	}
-	return false
+	return legacyBFS(t, d.explorer(), stringKey, math.MaxInt, func(cfg *sim.Configuration, _ int) bool { return goal(cfg) })
 }

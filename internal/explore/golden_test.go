@@ -7,16 +7,16 @@ package explore
 // A line records the found flag, the Stats, the witness detail and event
 // trace, an order-independent digest of the visited-key set, and the
 // per-level OnProgress profile. The suites in goldenSuites run their rows
-// on the search engine at every store, both worker counts and both
-// configuration engines and compare each result with the file: the file,
-// not a second engine, is the oracle.
+// on the search kernel and compare each result with the file: the file, not
+// a second engine, is the oracle. The packed matrix runs each of its rows at
+// every store, both worker counts and both configuration engines; the
+// other suites spread the same six configurations over their rows.
 //
 // Regenerate the file (CI's golden-drift step does, then diffs) with
 //
 //	go test ./internal/explore -run '^TestKernelGoldenFile$' -update
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -90,10 +90,6 @@ type goldenConfig struct {
 	packed  bool
 }
 
-func (c goldenConfig) String() string {
-	return fmt.Sprintf("%v/workers=%d/packed=%t", c.store, c.workers, c.packed)
-}
-
 // matrixPatterns are two ways to run a row once per store such that the
 // row also runs at both worker counts and on both configuration engines.
 // Together the six configurations cover every pair of store, worker count
@@ -108,9 +104,10 @@ func pairwiseConfigs() []goldenConfig {
 	return append(matrixPatterns[0][:], matrixPatterns[1][:]...)
 }
 
-// rotating returns the i'th pairwise configuration, cyclically: suites whose
-// rows the packed matrix already runs at every configuration, or whose rows
-// are large, run each row once and spread the configurations over the rows.
+// rotating returns the i'th pairwise configuration, cyclically: a suite
+// whose rows the packed matrix already runs at every configuration, or
+// whose rows are large, runs each row once and spreads the configurations
+// over its rows.
 func rotating(i int) []goldenConfig {
 	return []goldenConfig{pairwiseConfigs()[i%6]}
 }
@@ -252,22 +249,14 @@ var goldenOnce struct {
 // goldenLines loads the golden file, keyed by row.
 func goldenLines() (map[string]string, error) {
 	goldenOnce.Do(func() {
-		f, err := os.Open(goldenPath)
-		if err != nil {
-			goldenOnce.err = err
-			return
-		}
-		defer f.Close()
+		raw, err := os.ReadFile(goldenPath)
 		lines := map[string]string{}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(nil, 1<<20)
-		for sc.Scan() {
-			if line := sc.Text(); !strings.HasPrefix(line, "#") {
-				key, rest, _ := strings.Cut(line, " ")
+		for _, line := range strings.Split(string(raw), "\n") {
+			if key, rest, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
 				lines[key] = rest
 			}
 		}
-		goldenOnce.lines, goldenOnce.err = lines, sc.Err()
+		goldenOnce.lines, goldenOnce.err = lines, err
 	})
 	return goldenOnce.lines, goldenOnce.err
 }
@@ -297,10 +286,10 @@ func checkGolden(t *testing.T, c goldenCase) {
 	for _, cfg := range c.configs {
 		got, w, err := goldenResult(c.row, cfg)
 		if err != nil {
-			t.Fatalf("%s %v: %v", key, cfg, err)
+			t.Fatalf("%s %+v: %v", key, cfg, err)
 		}
 		if got != want {
-			t.Fatalf("%s %v diverged from the golden line:\n got %s\nwant %s", key, cfg, got, want)
+			t.Fatalf("%s %+v diverged from the golden line:\n got %s\nwant %s", key, cfg, got, want)
 		}
 		if w != nil {
 			testutil.RevalidateWitness(t, w.Kind, w.Run)
@@ -311,10 +300,6 @@ func checkGolden(t *testing.T, c goldenCase) {
 // witnessGoals are the two witness searches' goal kinds.
 var witnessGoals = []string{"disagreement", "blocking"}
 
-func bfsRow(d diffInstance, sym, por bool, goal string) goldenRow {
-	return goldenRow{inst: d, sym: sym, por: por, search: "bfs", goal: goal}
-}
-
 // packedRow is the breadth-first row of a packed differential cell.
 func (c packedDiffCell) row(goal string) goldenRow {
 	return goldenRow{inst: c.inst, sym: c.symmetry, por: c.por, faults: c.faults, search: "bfs", goal: goal}
@@ -323,152 +308,110 @@ func (c packedDiffCell) row(goal string) goldenRow {
 // goldenSuites maps each test that checks kernel searches against the
 // golden file to its cases. The test names are those of the suites that
 // used to compare the explorer's engines with each other; each now checks
-// its rows against the file.
+// its rows against the file. A case runs one rotating configuration unless
+// it names its own.
 func goldenSuites() map[string][]goldenCase {
 	suites := map[string][]goldenCase{}
-	add := func(test, name string, r goldenRow, configs []goldenConfig) {
+	add := func(test, name string, r goldenRow, configs ...goldenConfig) {
+		if configs == nil {
+			configs = rotating(len(suites[test]))
+		}
 		suites[test] = append(suites[test], goldenCase{name: name, row: r, configs: configs})
 	}
+	addRow := func(test string, r goldenRow, configs ...goldenConfig) { add(test, r.key(), r, configs...) }
 
 	// The packed matrix runs every row at every store, worker count and
 	// engine: each store's subtest runs one configuration, and consecutive
 	// rows alternate between the two matrix patterns.
-	stores := []string{"inmem", "frontier", "spill"}
-	i := 0
+	row := 0
 	for _, c := range packedDiffCells() {
 		for _, g := range witnessGoals {
-			for s, store := range stores {
-				add("TestPackedSearchMatrix", c.name()+"/"+g+"/"+store, c.row(g),
-					[]goldenConfig{matrixPatterns[i%2][s]})
+			for s, store := range []string{"inmem", "frontier", "spill"} {
+				add("TestPackedSearchMatrix", c.name()+"/"+g+"/"+store, c.row(g), matrixPatterns[row%2][s])
 			}
-			i++
+			row++
 		}
+		add("TestPackedArenaVisitedSet", c.name(), c.row("disagreement"))
 	}
-	for i, c := range packedDiffCells() {
-		add("TestPackedArenaVisitedSet", c.name(), c.row("disagreement"), rotating(i))
-	}
-
-	i = 0
-	for _, d := range diffInstances() {
-		for _, g := range witnessGoals {
-			add("TestParallelSearchVisitsSequentialSet", d.name+"/"+g, bfsRow(d, false, false, g), rotating(i))
-			i++
-		}
-	}
-	i = 0
-	for _, reduced := range []bool{false, true} {
-		for _, d := range porInstances() {
+	for _, s := range []struct {
+		test, prefix string
+		sym, por     bool
+		insts        []diffInstance
+	}{
+		{"TestParallelSearchVisitsSequentialSet", "", false, false, diffInstances()},
+		{"TestBoundedStoreVerdictParity", "", false, false, porInstances()},
+		{"TestBoundedStoreVerdictParity", "sym+por/", true, true, porInstances()},
+		{"TestSymmetryParallelMatchesSerial", "", true, false, symInstances()},
+		{"TestPORParallelMatchesSerial", "por/", false, true, porInstances()},
+		{"TestPORParallelMatchesSerial", "por+sym/", true, true, porInstances()},
+	} {
+		for _, d := range s.insts {
 			for _, g := range witnessGoals {
-				name := d.name + "/" + g
-				if reduced {
-					name = "sym+por/" + name
-				}
-				add("TestBoundedStoreVerdictParity", name, bfsRow(d, reduced, reduced, g), rotating(i))
-				i++
-			}
-		}
-	}
-	i = 0
-	for _, d := range symInstances() {
-		for _, g := range witnessGoals {
-			add("TestSymmetryParallelMatchesSerial", d.name+"/"+g, bfsRow(d, true, false, g), rotating(i))
-			i++
-		}
-	}
-	i = 0
-	for _, sym := range []bool{false, true} {
-		prefix := "por/"
-		if sym {
-			prefix = "por+sym/"
-		}
-		for _, d := range porInstances() {
-			for _, g := range witnessGoals {
-				add("TestPORParallelMatchesSerial", prefix+d.name+"/"+g, bfsRow(d, sym, true, g), rotating(i))
-				i++
+				add(s.test, s.prefix+d.name+"/"+g, goldenRow{inst: d, sym: s.sym, por: s.por, search: "bfs", goal: g})
 			}
 		}
 	}
 
-	// Depth-first rows. A depth-first search ignores the store and the
-	// worker count, so each row runs once and the rows alternate engines.
-	i = 0
+	// Depth-first rows (a depth-first search ignores the store and the
+	// worker count) and valence censuses, exhaustive and early-stopping,
+	// plain and reduced.
 	for _, reduced := range []bool{false, true} {
+		valence := "TestParallelValenceMatchesSequential"
+		if reduced {
+			valence = "TestBoundedValenceParity"
+		}
 		for _, d := range diffInstances() {
 			for _, g := range witnessGoals {
-				r := goldenRow{inst: d, sym: reduced, por: reduced, search: "dfs", goal: g}
-				add("TestBoundedDFSParity", r.key(), r, rotating(i))
-				i++
+				addRow("TestBoundedDFSParity", goldenRow{inst: d, sym: reduced, por: reduced, search: "dfs", goal: g})
+			}
+			for _, stopAt := range []int{0, 2} {
+				addRow(valence, goldenRow{inst: d, sym: reduced, por: reduced, search: "valence", stopAt: stopAt})
 			}
 		}
 	}
-
-	// Truncation: budgets that cut BFS levels mid-way, for both witness
-	// goals, reduced searches, depth-first searches and valence.
-	crash := diffInstances()[1] // minwait-n3-crash: witnesses exist
-	for _, budget := range []int{1, 2, 3, 7, 25, 100, 999, 5000} {
-		r := bfsRow(crash, false, false, "disagreement")
-		r.maxConfigs = budget
-		add("TestParallelTruncationParity", r.key(), r, pairwiseConfigs())
+	mixed := packedDiffCells()[len(packedDiffCells())-1].inst // minwait-n3-mixed
+	for _, model := range []sim.FaultModel{sim.FaultSendOmission, sim.FaultReceiveOmission, sim.FaultByzantine} {
+		fa := FaultAdversary{Model: model, Budget: 1, MaxFaulty: 1}
+		addRow("TestBoundedValenceParity", goldenRow{inst: mixed, faults: fa, search: "valence"})
 	}
+
+	// Truncation at budgets that cut BFS levels mid-way, for both witness
+	// goals, reduced searches, depth-first searches and valence.
+	crash := diffInstances()[1]  // minwait-n3-crash: witnesses exist
 	uniform := symInstances()[5] // minwait-n3-uniform: nothing to find
+	for _, budget := range []int{1, 2, 3, 7, 25, 100, 999, 5000} {
+		addRow("TestParallelTruncationParity", goldenRow{inst: crash, search: "bfs", goal: "disagreement", maxConfigs: budget}, pairwiseConfigs()...)
+	}
 	for _, budget := range []int{3, 25, 100, 999} {
 		for _, r := range []goldenRow{
-			bfsRow(crash, false, false, "blocking"),
-			bfsRow(uniform, false, false, "disagreement"),
-			bfsRow(uniform, true, true, "disagreement"),
+			{inst: crash, search: "bfs", goal: "blocking"},
+			{inst: uniform, search: "bfs", goal: "disagreement"},
+			{inst: uniform, sym: true, por: true, search: "bfs", goal: "disagreement"},
 			{inst: uniform, search: "dfs", goal: "disagreement"},
 			{inst: crash, search: "valence"},
 			{inst: crash, search: "valence", stopAt: 2},
 		} {
 			r.maxConfigs = budget
-			add("TestBoundedTruncationParity", r.key(), r, pairwiseConfigs())
+			addRow("TestBoundedTruncationParity", r, pairwiseConfigs()...)
 		}
 	}
 
-	// Valence: exhaustive and early-stopping censuses, with and without
-	// the reductions, and under each fault model.
-	i = 0
-	for _, d := range diffInstances() {
-		for _, stopAt := range []int{0, 2} {
-			r := goldenRow{inst: d, search: "valence", stopAt: stopAt}
-			add("TestParallelValenceMatchesSequential", r.key(), r, rotating(i))
-			i++
-		}
-	}
-	i = 0
-	for _, d := range diffInstances() {
-		for _, stopAt := range []int{0, 2} {
-			r := goldenRow{inst: d, sym: true, por: true, search: "valence", stopAt: stopAt}
-			add("TestBoundedValenceParity", r.key(), r, rotating(i))
-			i++
-		}
-	}
-	mixed := packedDiffCells()[len(packedDiffCells())-1].inst // minwait-n3-mixed
-	for _, model := range []sim.FaultModel{sim.FaultSendOmission, sim.FaultReceiveOmission, sim.FaultByzantine} {
-		r := goldenRow{inst: mixed, faults: FaultAdversary{Model: model, Budget: 1, MaxFaulty: 1}, search: "valence"}
-		add("TestBoundedValenceParity", r.key(), r, rotating(i))
-		i++
-	}
-
-	// Critical steps: every first action's successor valence.
+	// Critical steps (every first action's successor valence), and an
+	// oracle, which stands POR down and is queried on every step.
 	bivalent := diffInstance{"minwait-n3-bivalent", algorithms.MinWait{F: 1}, []sim.Value{0, 1, 1}, []sim.ProcessID{1, 2, 3}, 0}
-	for _, d := range []diffInstance{bivalent, crash, porInstances()[13], symInstances()[11]} {
-		for _, reduced := range []bool{false, true} {
-			r := goldenRow{inst: d, sym: reduced, por: reduced, search: "critical"}
-			add("TestParallelCriticalStepsMatchSequential", r.key(), r, pairwiseConfigs())
-		}
-	}
-
-	// An oracle stands POR down and is queried on every step.
 	for _, reduced := range []bool{false, true} {
+		for _, d := range []diffInstance{bivalent, crash, porInstances()[13], symInstances()[11]} {
+			addRow("TestParallelCriticalStepsMatchSequential", goldenRow{inst: d, sym: reduced, por: reduced, search: "critical"}, pairwiseConfigs()...)
+		}
+		d := diffInstances()[0]
 		for _, r := range []goldenRow{
-			bfsRow(diffInstances()[0], reduced, reduced, "disagreement"),
-			bfsRow(diffInstances()[0], reduced, reduced, "blocking"),
-			{inst: diffInstances()[0], sym: reduced, por: reduced, search: "dfs", goal: "disagreement"},
-			{inst: diffInstances()[0], sym: reduced, por: reduced, search: "valence"},
+			{search: "bfs", goal: "disagreement"},
+			{search: "bfs", goal: "blocking"},
+			{search: "dfs", goal: "disagreement"},
+			{search: "valence"},
 		} {
-			r.oracle = true
-			add("TestParallelSearchWithOracle", r.key(), r, pairwiseConfigs())
+			r.inst, r.sym, r.por, r.oracle = d, reduced, reduced, true
+			addRow("TestParallelSearchWithOracle", r, pairwiseConfigs()...)
 		}
 	}
 	return suites
@@ -550,54 +493,43 @@ func searchWithKeys(e *Explorer, goal goalFunc, kind string) (*Witness, bool, *v
 	return w, found, vis, err
 }
 
-// TestPackedSearchMatrix runs the packed differential cells — the
-// differential instances under every reduction, plus each fault model —
-// for both witness goals on the pointer and packed engines at every store
-// and both worker counts.
+// The tests below each check their golden suite (see goldenSuites).
+
+// TestPackedSearchMatrix: differential cells on both engines, every store.
 func TestPackedSearchMatrix(t *testing.T) { runGoldenSuite(t) }
 
-// TestPackedArenaVisitedSet checks the disagreement search of every packed
-// differential cell, visited-key digest included.
+// TestPackedArenaVisitedSet: every differential cell's disagreement search.
 func TestPackedArenaVisitedSet(t *testing.T) { runGoldenSuite(t) }
 
-// TestParallelSearchVisitsSequentialSet checks the plain differential
-// instances for both witness goals.
+// TestParallelSearchVisitsSequentialSet: plain differential instances.
 func TestParallelSearchVisitsSequentialSet(t *testing.T) { runGoldenSuite(t) }
 
-// TestBoundedStoreVerdictParity checks the POR differential suite for both
-// witness goals, plain and with symmetry and POR stacked.
+// TestBoundedStoreVerdictParity: the POR suite, plain and sym+por.
 func TestBoundedStoreVerdictParity(t *testing.T) { runGoldenSuite(t) }
 
-// TestSymmetryParallelMatchesSerial checks the symmetry differential suite
-// for both witness goals under symmetry reduction.
+// TestSymmetryParallelMatchesSerial: the symmetry suite under symmetry.
 func TestSymmetryParallelMatchesSerial(t *testing.T) { runGoldenSuite(t) }
 
-// TestPORParallelMatchesSerial checks the POR differential suite for both
-// witness goals under POR, alone and with symmetry.
+// TestPORParallelMatchesSerial: the POR suite under por and por+sym.
 func TestPORParallelMatchesSerial(t *testing.T) { runGoldenSuite(t) }
 
-// TestBoundedDFSParity checks depth-first searches, plain and reduced.
+// TestBoundedDFSParity: depth-first searches, plain and reduced.
 func TestBoundedDFSParity(t *testing.T) { runGoldenSuite(t) }
 
-// TestParallelTruncationParity checks disagreement searches truncated at
-// budgets that cut BFS levels mid-way.
+// TestParallelTruncationParity: disagreement searches cut mid-level.
 func TestParallelTruncationParity(t *testing.T) { runGoldenSuite(t) }
 
-// TestBoundedTruncationParity checks truncated blocking, reduced,
-// depth-first and valence searches.
+// TestBoundedTruncationParity: truncated blocking, reduced, DFS and valence.
 func TestBoundedTruncationParity(t *testing.T) { runGoldenSuite(t) }
 
-// TestParallelValenceMatchesSequential checks exhaustive and early-stopping
-// valence censuses.
+// TestParallelValenceMatchesSequential: plain valence censuses.
 func TestParallelValenceMatchesSequential(t *testing.T) { runGoldenSuite(t) }
 
-// TestBoundedValenceParity checks valence censuses under the reductions
-// and under each fault model.
+// TestBoundedValenceParity: valence under the reductions and fault models.
 func TestBoundedValenceParity(t *testing.T) { runGoldenSuite(t) }
 
-// TestParallelCriticalStepsMatchSequential checks critical-step analyses,
-// plain and reduced.
+// TestParallelCriticalStepsMatchSequential: critical-step analyses.
 func TestParallelCriticalStepsMatchSequential(t *testing.T) { runGoldenSuite(t) }
 
-// TestParallelSearchWithOracle checks searches queried through an oracle.
+// TestParallelSearchWithOracle: searches queried through an oracle.
 func TestParallelSearchWithOracle(t *testing.T) { runGoldenSuite(t) }

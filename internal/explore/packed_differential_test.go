@@ -2,13 +2,15 @@ package explore
 
 // Differential gate for the packed struct-of-arrays configuration engine
 // (Options.Packed): for every instance shape the repository's searches care
-// about — symmetry × POR × fault models × stores × worker counts — the
-// packed engine must reproduce the pointer engine BIT FOR BIT: the same
-// visited configuration sets in the same insertion order, the same found
-// flags, witness details, scheduled witness runs, stats, and truncation
-// points. Together with FuzzPackedParity this is the proof obligation that
-// lets Options.Packed be a pure memory/speed regime, excluded from search
-// digests and safe to flip on any cached or checkpointed search.
+// about — symmetry × POR × fault models — the packed engine must reproduce
+// the pointer engine BIT FOR BIT: the same configurations, keys, and action
+// enumerations step by step (TestPackedConfigurationLockstep), and the same
+// found flags, witnesses, stats, visited sets, and truncation points at
+// every store and worker count (TestPackedSearchMatrix runs these cells on
+// both engines against the kernel golden table). Together with
+// FuzzPackedParity this is the proof obligation that lets Options.Packed be
+// a pure memory/speed regime, excluded from search digests and safe to flip
+// on any cached or checkpointed search.
 
 import (
 	"fmt"
@@ -26,17 +28,9 @@ type packedDiffCell struct {
 	faults   FaultAdversary
 }
 
-func (c packedDiffCell) explorer(packed bool, workers int, store Store) *Explorer {
-	return New(sim.Restrict(c.inst.alg, c.inst.live), c.inst.inputs, Options{
-		Live:       c.inst.live,
-		MaxCrashes: c.inst.crashes,
-		Workers:    workers,
-		Symmetry:   c.symmetry,
-		POR:        c.por,
-		Faults:     c.faults,
-		Store:      store,
-		Packed:     packed,
-	})
+// explorer builds the cell's serial explorer on the chosen engine.
+func (c packedDiffCell) explorer(packed bool) *Explorer {
+	return c.row("disagreement").explorer(goldenConfig{StoreInMemory, 1, packed})
 }
 
 // packedDiffCells spans the handwritten instances across the reduction
@@ -111,8 +105,8 @@ type unpackable struct{ sim.Algorithm }
 func TestPackedConfigurationLockstep(t *testing.T) {
 	for _, c := range packedDiffCells() {
 		t.Run(c.name(), func(t *testing.T) {
-			ptr := c.explorer(false, 1, StoreInMemory)
-			pck := c.explorer(true, 1, StoreInMemory)
+			ptr := c.explorer(false)
+			pck := c.explorer(true)
 			if !pck.packed {
 				t.Fatal("packed explorer did not resolve the packed engine")
 			}

@@ -18,7 +18,7 @@ func TestParallelSearchDeterministic(t *testing.T) {
 	var detail, sig string
 	var stats Stats
 	for i := 0; i < 5; i++ {
-		w, found, err := d.explorerWorkers(8).FindDisagreement()
+		w, found, err := New(sim.Restrict(d.alg, d.live), d.inputs, Options{Live: d.live, Workers: 8}).FindDisagreement()
 		if err != nil {
 			t.Fatal(err)
 		}

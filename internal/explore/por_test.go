@@ -8,18 +8,6 @@ import (
 	"kset/internal/testutil"
 )
 
-// explorerPOR builds the instance's explorer with partial-order reduction,
-// an explicit worker count, and optionally symmetry reduction on top.
-func (d diffInstance) explorerPOR(workers int, symmetry bool) *Explorer {
-	return New(sim.Restrict(d.alg, d.live), d.inputs, Options{
-		Live:       d.live,
-		MaxCrashes: d.crashes,
-		Workers:    workers,
-		Symmetry:   symmetry,
-		POR:        true,
-	})
-}
-
 // porInstances is the POR differential suite: the symmetry suite (distinct,
 // uniform, and block inputs across MinWait, FirstHeard, FLPKSet, DecideOwn)
 // plus a crash-budget FLPKSet instance, whose reachable blocking verdict
@@ -55,11 +43,11 @@ func TestPORVerdictParity(t *testing.T) {
 		reduced func(diffInstance) *Explorer
 	}{
 		{"por-vs-plain",
-			func(d diffInstance) *Explorer { return d.explorerWorkers(1) },
-			func(d diffInstance) *Explorer { return d.explorerPOR(1, false) }},
+			func(d diffInstance) *Explorer { return d.explorer() },
+			func(d diffInstance) *Explorer { return d.reduced(false, true) }},
 		{"por+sym-vs-sym",
-			func(d diffInstance) *Explorer { return d.explorerSym(1) },
-			func(d diffInstance) *Explorer { return d.explorerPOR(1, true) }},
+			func(d diffInstance) *Explorer { return d.reduced(true, false) },
+			func(d diffInstance) *Explorer { return d.reduced(true, true) }},
 	}
 	for _, l := range layers {
 		for _, d := range porInstances() {
@@ -111,10 +99,10 @@ func TestPORStrictReductionUniformTheorem2(t *testing.T) {
 		}
 		return w.Stats.Visited
 	}
-	plain := visited(d.explorerWorkers(1))
-	por := visited(d.explorerPOR(1, false))
-	sym := visited(d.explorerSym(1))
-	both := visited(d.explorerPOR(1, true))
+	plain := visited(d.explorer())
+	por := visited(d.reduced(false, true))
+	sym := visited(d.reduced(true, false))
+	both := visited(d.reduced(true, true))
 	if 2*por > plain {
 		t.Fatalf("expected >= 2x node reduction from POR alone: por visited %d, plain visited %d", por, plain)
 	}
@@ -170,12 +158,12 @@ func TestPORDFSVerdictParity(t *testing.T) {
 func TestPORValenceParity(t *testing.T) {
 	for _, d := range porInstances() {
 		t.Run(d.name, func(t *testing.T) {
-			plainVals, plainStats, err := d.explorerWorkers(1).Valence(0)
+			plainVals, plainStats, err := d.explorer().Valence(0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, symmetry := range []bool{false, true} {
-				porVals, porStats, err := d.explorerPOR(1, symmetry).Valence(0)
+				porVals, porStats, err := d.reduced(symmetry, true).Valence(0)
 				if err != nil {
 					t.Fatal(err)
 				}

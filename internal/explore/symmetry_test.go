@@ -8,17 +8,6 @@ import (
 	"kset/internal/testutil"
 )
 
-// explorerSym builds the instance's explorer with symmetry reduction and an
-// explicit worker count.
-func (d diffInstance) explorerSym(workers int) *Explorer {
-	return New(sim.Restrict(d.alg, d.live), d.inputs, Options{
-		Live:       d.live,
-		MaxCrashes: d.crashes,
-		Workers:    workers,
-		Symmetry:   true,
-	})
-}
-
 // symInstances extends the differential suite with the repeated-input
 // instances where the stabilizer is non-trivial and orbit reduction
 // actually collapses configurations. uniform-t2 is the uniform-input
@@ -57,11 +46,11 @@ func TestSymmetryVerdictParity(t *testing.T) {
 	for _, d := range symInstances() {
 		for _, g := range goals {
 			t.Run(d.name+"/"+g.name, func(t *testing.T) {
-				plainW, plainFound, err := d.explorerWorkers(1).search(g.goal, g.name)
+				plainW, plainFound, err := d.explorer().search(g.goal, g.name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				symW, symFound, err := d.explorerSym(1).search(g.goal, g.name)
+				symW, symFound, err := d.reduced(true, false).search(g.goal, g.name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,11 +77,11 @@ func TestSymmetryVerdictParity(t *testing.T) {
 // configurations than the plain search.
 func TestSymmetryStrictReductionUniformTheorem2(t *testing.T) {
 	d := diffInstance{"minwait-n4-uniform-t2", algorithms.MinWait{F: 1}, []sim.Value{0, 0, 0, 0}, []sim.ProcessID{1, 2, 3, 4}, 1}
-	plainW, plainFound, err := d.explorerWorkers(1).search(disagreementGoal, "disagreement")
+	plainW, plainFound, err := d.explorer().search(disagreementGoal, "disagreement")
 	if err != nil {
 		t.Fatal(err)
 	}
-	symW, symFound, err := d.explorerSym(1).search(disagreementGoal, "disagreement")
+	symW, symFound, err := d.reduced(true, false).search(disagreementGoal, "disagreement")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +107,11 @@ func TestSymmetryStrictReductionUniformTheorem2(t *testing.T) {
 func TestSymmetryValenceParity(t *testing.T) {
 	for _, d := range symInstances() {
 		t.Run(d.name, func(t *testing.T) {
-			plainVals, plainStats, err := d.explorerWorkers(1).Valence(0)
+			plainVals, plainStats, err := d.explorer().Valence(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			symVals, symStats, err := d.explorerSym(1).Valence(0)
+			symVals, symStats, err := d.reduced(true, false).Valence(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,42 +140,8 @@ func TestSymmetryTrivialStabilizerCollisionCorpus(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			const maxConfigs = 400000
 			legacy := enumerate(t, d.explorer(), false, maxConfigs)
-			e := d.explorerSym(1)
-			start, err := e.initial()
-			if err != nil {
-				t.Fatal(err)
-			}
-			type qent struct {
-				cfg     *sim.Configuration
-				crashes int
-			}
-			reached := map[string]bool{legacyKey(start, 0): true}
-			visited := map[uint64]bool{e.key(start, 0): true}
-			queue := []qent{{cfg: start}}
-			for len(queue) > 0 {
-				if len(reached) > maxConfigs {
-					t.Fatalf("state space exceeds %d configurations", maxConfigs)
-				}
-				cur := queue[0]
-				queue = queue[1:]
-				for _, act := range e.actions(cur.cfg, cur.crashes) {
-					next, ok := e.apply(cur.cfg, act)
-					if !ok {
-						continue
-					}
-					crashes := cur.crashes
-					if act.Crash {
-						crashes++
-					}
-					if visited[e.key(next, crashes)] {
-						e.release(next)
-						continue
-					}
-					visited[e.key(next, crashes)] = true
-					reached[legacyKey(next, crashes)] = true
-					queue = append(queue, qent{cfg: next, crashes: crashes})
-				}
-			}
+			e := d.reduced(true, false)
+			reached := reachedBy(t, e, func(cfg *sim.Configuration, crashes int) any { return e.key(cfg, crashes) }, maxConfigs)
 			if len(reached) != len(legacy) {
 				t.Fatalf("trivial-stabilizer canonical search reached %d configurations, legacy %d",
 					len(reached), len(legacy))
