@@ -76,9 +76,8 @@ func DefaultE13Params() E13Params {
 //
 // The in-memory row truncates at the default budget: every visited
 // configuration costs it a visited key plus an 8-byte level record held in
-// memory (~23-26 B/state measured at n = 6 and 7; ~45 B under the former
-// arena of 32-byte nodes), so the budget stops the search at a fraction of
-// the space. The frontier-only row completes the same search, retaining
+// memory (~23-26 B/state measured at n = 6 and 7), so the budget stops the
+// search at a fraction of the space. The frontier-only row completes the same search, retaining
 // ~11-16 B per visited state (the open-addressed visited-key set) plus two
 // BFS levels; the spill row streams the 8 B/state level-generation log to
 // disk instead, which is what witness reconstruction and checkpoints read

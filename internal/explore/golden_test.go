@@ -8,9 +8,10 @@ package explore
 // trace, an order-independent digest of the visited-key set, and the
 // per-level OnProgress profile. The suites in goldenSuites run their rows
 // on the search kernel and compare each result with the file: the file, not
-// a second engine, is the oracle. The packed matrix runs each of its rows at
-// every store, both worker counts and both configuration engines; the
-// other suites spread the same six configurations over their rows.
+// a second engine, is the oracle. Every row runs at every store, both worker
+// counts and both configuration engines, except that the other suites run
+// each row above largeRow visited configurations once, cycling through the
+// six configurations.
 //
 // Regenerate the file (CI's golden-drift step does, then diffs) with
 //
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -104,12 +106,18 @@ func pairwiseConfigs() []goldenConfig {
 	return append(matrixPatterns[0][:], matrixPatterns[1][:]...)
 }
 
-// rotating returns the i'th pairwise configuration, cyclically: a suite
-// whose rows the packed matrix already runs at every configuration, or
-// whose rows are large, runs each row once and spreads the configurations
-// over its rows.
+// largeRow is the visited count above which a spread case runs one
+// configuration instead of its whole matrix pattern: the few large rows
+// would otherwise cost the suites most of their time.
+const largeRow = 5000
+
+// rotating returns the matrix pattern that holds the i'th pairwise
+// configuration, led by it: a spread case runs the whole pattern, or only
+// its first configuration when its row is large, so the leading
+// configurations of a suite's cases cycle through all six.
 func rotating(i int) []goldenConfig {
-	return []goldenConfig{pairwiseConfigs()[i%6]}
+	p, j := matrixPatterns[i/3%2], i%3
+	return []goldenConfig{p[j], p[(j+1)%3], p[(j+2)%3]}
 }
 
 func (r goldenRow) explorer(c goldenConfig) *Explorer {
@@ -267,6 +275,8 @@ type goldenCase struct {
 	name    string
 	row     goldenRow
 	configs []goldenConfig
+	// spread cases run only configs[0] when the row is large (see largeRow).
+	spread bool
 }
 
 // checkGolden runs the case's row on each of its configurations and
@@ -283,7 +293,11 @@ func checkGolden(t *testing.T, c goldenCase) {
 	if !ok {
 		t.Fatalf("row %s missing from %s (regenerate with -update)", key, goldenPath)
 	}
-	for _, cfg := range c.configs {
+	configs := c.configs
+	if c.spread && goldenVisited(want) > largeRow {
+		configs = configs[:1]
+	}
+	for _, cfg := range configs {
 		got, w, err := goldenResult(c.row, cfg)
 		if err != nil {
 			t.Fatalf("%s %+v: %v", key, cfg, err)
@@ -297,6 +311,13 @@ func checkGolden(t *testing.T, c goldenCase) {
 	}
 }
 
+// goldenVisited reads Stats.Visited off a golden line.
+func goldenVisited(line string) int {
+	_, rest, _ := strings.Cut(line, "Visited:")
+	n, _ := strconv.Atoi(rest[:strings.IndexByte(rest, ' ')])
+	return n
+}
+
 // witnessGoals are the two witness searches' goal kinds.
 var witnessGoals = []string{"disagreement", "blocking"}
 
@@ -308,15 +329,16 @@ func (c packedDiffCell) row(goal string) goldenRow {
 // goldenSuites maps each test that checks kernel searches against the
 // golden file to its cases. The test names are those of the suites that
 // used to compare the explorer's engines with each other; each now checks
-// its rows against the file. A case runs one rotating configuration unless
-// it names its own.
+// its rows against the file. A case runs the configurations it names, or is
+// a spread case on a rotating matrix pattern.
 func goldenSuites() map[string][]goldenCase {
 	suites := map[string][]goldenCase{}
 	add := func(test, name string, r goldenRow, configs ...goldenConfig) {
+		c := goldenCase{name: name, row: r, configs: configs}
 		if configs == nil {
-			configs = rotating(len(suites[test]))
+			c.configs, c.spread = rotating(len(suites[test])), true
 		}
-		suites[test] = append(suites[test], goldenCase{name: name, row: r, configs: configs})
+		suites[test] = append(suites[test], c)
 	}
 	addRow := func(test string, r goldenRow, configs ...goldenConfig) { add(test, r.key(), r, configs...) }
 
