@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"testing"
 
@@ -178,5 +179,70 @@ func TestUncancelledContextChangesNothing(t *testing.T) {
 			t.Fatalf("%s: with context found=%t stats=%+v, without found=%t stats=%+v",
 				d.name, found, w.Stats, refFound, ref.Stats)
 		}
+	}
+}
+
+// pollCtx is a context whose Err reports cancellation from its
+// (cancelAfter+1)'th poll on (never, when cancelAfter < 0), counting polls.
+type pollCtx struct {
+	context.Context
+	polls, cancelAfter int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.cancelAfter >= 0 && c.polls > c.cancelAfter {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelStopsValenceAnalyses pins cancellation of the valence searches:
+// Valence with a cancelled context stops with Cancelled and Truncated set,
+// and AnalyzeCriticalSteps stops at its first cancelled valence — before any
+// step when the initial valence is cancelled, and with no step reported
+// (none of them Forcing) when the first successor's is.
+func TestCancelStopsValenceAnalyses(t *testing.T) {
+	d := ckptInstance() // bivalent, nine first actions
+	explorer := func(ctx context.Context) *Explorer {
+		return New(sim.Restrict(d.alg, d.live), d.inputs, Options{
+			Live: d.live, MaxCrashes: d.crashes, Workers: 1, Context: ctx,
+		})
+	}
+	count := &pollCtx{Context: context.Background(), cancelAfter: -1}
+	ref, refStats, err := explorer(count).Valence(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) < 2 || refStats.Truncated || count.polls == 0 {
+		t.Fatalf("reference valence %v stats=%+v after %d polls", ref, refStats, count.polls)
+	}
+
+	vals, stats, err := explorer(&pollCtx{Context: context.Background()}).Valence(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Cancelled || !stats.Truncated || stats.Visited != 0 || len(vals) != 0 {
+		t.Fatalf("cancelled valence: values=%v stats=%+v", vals, stats)
+	}
+	an, err := explorer(&pollCtx{Context: context.Background()}).AnalyzeCriticalSteps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !an.Stats.Cancelled || !an.Stats.Truncated || len(an.Steps) != 0 {
+		t.Fatalf("pre-cancelled analysis: stats=%+v steps=%+v", an.Stats, an.Steps)
+	}
+
+	// Cancel on the first successor's first poll: the initial valence
+	// completes, and the analysis stops with no step.
+	an, err = explorer(&pollCtx{Context: context.Background(), cancelAfter: count.polls}).AnalyzeCriticalSteps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !an.Stats.Cancelled || !an.Stats.Truncated || len(an.Steps) != 0 || an.Stats.Visited != refStats.Visited {
+		t.Fatalf("analysis cancelled after its initial valence: stats=%+v steps=%+v", an.Stats, an.Steps)
+	}
+	if !an.Bivalent || fmt.Sprint(an.InitialValues) != fmt.Sprint(ref) {
+		t.Fatalf("initial values %v, want %v", an.InitialValues, ref)
 	}
 }

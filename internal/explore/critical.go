@@ -43,7 +43,9 @@ type CriticalAnalysis struct {
 // AnalyzeCriticalSteps computes the valence of the initial configuration
 // and of every one-step successor. Exploration budgets apply per successor;
 // a truncated successor valence is reported as-is with Stats.Truncated set
-// on the aggregate.
+// on the aggregate. A cancelled Options.Context stops the analysis at the
+// first cancelled valence: it reports the steps finished before it, with
+// Stats.Cancelled and Stats.Truncated set.
 func (e *Explorer) AnalyzeCriticalSteps() (*CriticalAnalysis, error) {
 	initVals, initStats, err := e.Valence(0)
 	if err != nil {
@@ -53,6 +55,9 @@ func (e *Explorer) AnalyzeCriticalSteps() (*CriticalAnalysis, error) {
 		InitialValues: initVals,
 		Bivalent:      len(initVals) >= 2,
 		Stats:         initStats,
+	}
+	if initStats.Cancelled {
+		return out, nil
 	}
 
 	start, err := e.initial()
@@ -78,6 +83,10 @@ func (e *Explorer) AnalyzeCriticalSteps() (*CriticalAnalysis, error) {
 		out.Stats.Visited += stats.Visited
 		if stats.Truncated {
 			out.Stats.Truncated = true
+		}
+		if stats.Cancelled {
+			out.Stats.Cancelled = true
+			return out, nil
 		}
 		out.Steps = append(out.Steps, StepValence{
 			Proc:    act.Proc,

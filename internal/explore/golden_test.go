@@ -8,10 +8,9 @@ package explore
 // trace, an order-independent digest of the visited-key set, and the
 // per-level OnProgress profile. The suites in goldenSuites run their rows
 // on the search kernel and compare each result with the file: the file, not
-// a second engine, is the oracle. Every row runs at every store, both worker
-// counts and both configuration engines, except that the other suites run
-// each row above largeRow visited configurations once, cycling through the
-// six configurations.
+// a second engine, is the oracle. Every row runs at the six pairwise
+// configurations of store, worker count and configuration engine, each
+// exactly once across the suites.
 //
 // Regenerate the file (CI's golden-drift step does, then diffs) with
 //
@@ -22,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -92,32 +90,11 @@ type goldenConfig struct {
 	packed  bool
 }
 
-// matrixPatterns are two ways to run a row once per store such that the
-// row also runs at both worker counts and on both configuration engines.
-// Together the six configurations cover every pair of store, worker count
-// and engine.
-var matrixPatterns = [2][3]goldenConfig{
-	{{StoreInMemory, 1, false}, {StoreFrontierOnly, 1, true}, {StoreSpill, 4, true}},
-	{{StoreInMemory, 4, true}, {StoreFrontierOnly, 4, false}, {StoreSpill, 1, false}},
-}
-
-// pairwiseConfigs lists the six configurations of matrixPatterns.
-func pairwiseConfigs() []goldenConfig {
-	return append(matrixPatterns[0][:], matrixPatterns[1][:]...)
-}
-
-// largeRow is the visited count above which a spread case runs one
-// configuration instead of its whole matrix pattern: the few large rows
-// would otherwise cost the suites most of their time.
-const largeRow = 5000
-
-// rotating returns the matrix pattern that holds the i'th pairwise
-// configuration, led by it: a spread case runs the whole pattern, or only
-// its first configuration when its row is large, so the leading
-// configurations of a suite's cases cycle through all six.
-func rotating(i int) []goldenConfig {
-	p, j := matrixPatterns[i/3%2], i%3
-	return []goldenConfig{p[j], p[(j+1)%3], p[(j+2)%3]}
+// pairwiseConfigs are the six configurations every golden row runs at:
+// together they cover every pair of store, worker count and engine.
+var pairwiseConfigs = []goldenConfig{
+	{StoreInMemory, 1, false}, {StoreFrontierOnly, 1, true}, {StoreSpill, 4, true},
+	{StoreInMemory, 4, true}, {StoreFrontierOnly, 4, false}, {StoreSpill, 1, false},
 }
 
 func (r goldenRow) explorer(c goldenConfig) *Explorer {
@@ -269,15 +246,19 @@ func goldenLines() (map[string]string, error) {
 	return goldenOnce.lines, goldenOnce.err
 }
 
-// goldenCase is one check of a golden row: the row and the configurations
-// it runs on.
+// goldenCase is one subtest of a golden suite: a row and the
+// configurations it runs on (see shareConfigs).
 type goldenCase struct {
-	name    string
-	row     goldenRow
+	test, name string
+	row        goldenRow
+	// store confines the case to that store's configurations; anyStore
+	// takes every store.
+	store   Store
 	configs []goldenConfig
-	// spread cases run only configs[0] when the row is large (see largeRow).
-	spread bool
 }
+
+// anyStore marks a golden case that takes configurations on every store.
+const anyStore Store = -1
 
 // checkGolden runs the case's row on each of its configurations and
 // compares the result with the row's golden line; found witnesses must
@@ -293,11 +274,10 @@ func checkGolden(t *testing.T, c goldenCase) {
 	if !ok {
 		t.Fatalf("row %s missing from %s (regenerate with -update)", key, goldenPath)
 	}
-	configs := c.configs
-	if c.spread && goldenVisited(want) > largeRow {
-		configs = configs[:1]
+	if len(c.configs) == 0 {
+		t.Fatalf("%s runs no configuration", key)
 	}
-	for _, cfg := range configs {
+	for _, cfg := range c.configs {
 		got, w, err := goldenResult(c.row, cfg)
 		if err != nil {
 			t.Fatalf("%s %+v: %v", key, cfg, err)
@@ -311,13 +291,6 @@ func checkGolden(t *testing.T, c goldenCase) {
 	}
 }
 
-// goldenVisited reads Stats.Visited off a golden line.
-func goldenVisited(line string) int {
-	_, rest, _ := strings.Cut(line, "Visited:")
-	n, _ := strconv.Atoi(rest[:strings.IndexByte(rest, ' ')])
-	return n
-}
-
 // witnessGoals are the two witness searches' goal kinds.
 var witnessGoals = []string{"disagreement", "blocking"}
 
@@ -329,30 +302,25 @@ func (c packedDiffCell) row(goal string) goldenRow {
 // goldenSuites maps each test that checks kernel searches against the
 // golden file to its cases. The test names are those of the suites that
 // used to compare the explorer's engines with each other; each now checks
-// its rows against the file. A case runs the configurations it names, or is
-// a spread case on a rotating matrix pattern.
+// its rows against the file. Suites overlap in rows, so shareConfigs splits
+// each row's configurations among the cases that check it.
 func goldenSuites() map[string][]goldenCase {
-	suites := map[string][]goldenCase{}
-	add := func(test, name string, r goldenRow, configs ...goldenConfig) {
-		c := goldenCase{name: name, row: r, configs: configs}
-		if configs == nil {
-			c.configs, c.spread = rotating(len(suites[test])), true
-		}
-		suites[test] = append(suites[test], c)
+	var cases []*goldenCase
+	add := func(test, name string, r goldenRow) {
+		cases = append(cases, &goldenCase{test: test, name: name, row: r, store: anyStore})
 	}
-	addRow := func(test string, r goldenRow, configs ...goldenConfig) { add(test, r.key(), r, configs...) }
+	addRow := func(test string, r goldenRow) { add(test, r.key(), r) }
 
-	// The packed matrix runs every row at every store, worker count and
-	// engine: each store's subtest runs one configuration, and consecutive
-	// rows alternate between the two matrix patterns.
-	row := 0
+	// The packed matrix has one subtest per row and store.
 	for _, c := range packedDiffCells() {
 		for _, g := range witnessGoals {
-			for s, store := range []string{"inmem", "frontier", "spill"} {
-				add("TestPackedSearchMatrix", c.name()+"/"+g+"/"+store, c.row(g), matrixPatterns[row%2][s])
+			for _, store := range []Store{StoreInMemory, StoreFrontierOnly, StoreSpill} {
+				cases = append(cases, &goldenCase{test: "TestPackedSearchMatrix",
+					name: c.name() + "/" + g + "/" + store.String(), row: c.row(g), store: store})
 			}
-			row++
 		}
+	}
+	for _, c := range packedDiffCells() {
 		add("TestPackedArenaVisitedSet", c.name(), c.row("disagreement"))
 	}
 	for _, s := range []struct {
@@ -374,18 +342,19 @@ func goldenSuites() map[string][]goldenCase {
 		}
 	}
 
-	// Depth-first rows (a depth-first search ignores the store and the
-	// worker count) and valence censuses, exhaustive and early-stopping,
-	// plain and reduced.
+	// Depth-first disagreement searches on the POR suite (blocking on the
+	// differential instances) and valence censuses, exhaustive and
+	// early-stopping, plain and reduced.
 	for _, reduced := range []bool{false, true} {
+		for _, d := range porInstances() {
+			addRow("TestBoundedDFSParity", goldenRow{inst: d, sym: reduced, por: reduced, search: "dfs", goal: "disagreement"})
+		}
 		valence := "TestParallelValenceMatchesSequential"
 		if reduced {
 			valence = "TestBoundedValenceParity"
 		}
 		for _, d := range diffInstances() {
-			for _, g := range witnessGoals {
-				addRow("TestBoundedDFSParity", goldenRow{inst: d, sym: reduced, por: reduced, search: "dfs", goal: g})
-			}
+			addRow("TestBoundedDFSParity", goldenRow{inst: d, sym: reduced, por: reduced, search: "dfs", goal: "blocking"})
 			for _, stopAt := range []int{0, 2} {
 				addRow(valence, goldenRow{inst: d, sym: reduced, por: reduced, search: "valence", stopAt: stopAt})
 			}
@@ -402,7 +371,7 @@ func goldenSuites() map[string][]goldenCase {
 	crash := diffInstances()[1]  // minwait-n3-crash: witnesses exist
 	uniform := symInstances()[5] // minwait-n3-uniform: nothing to find
 	for _, budget := range []int{1, 2, 3, 7, 25, 100, 999, 5000} {
-		addRow("TestParallelTruncationParity", goldenRow{inst: crash, search: "bfs", goal: "disagreement", maxConfigs: budget}, pairwiseConfigs()...)
+		addRow("TestParallelTruncationParity", goldenRow{inst: crash, search: "bfs", goal: "disagreement", maxConfigs: budget})
 	}
 	for _, budget := range []int{3, 25, 100, 999} {
 		for _, r := range []goldenRow{
@@ -414,7 +383,7 @@ func goldenSuites() map[string][]goldenCase {
 			{inst: crash, search: "valence", stopAt: 2},
 		} {
 			r.maxConfigs = budget
-			addRow("TestBoundedTruncationParity", r, pairwiseConfigs()...)
+			addRow("TestBoundedTruncationParity", r)
 		}
 	}
 
@@ -423,7 +392,7 @@ func goldenSuites() map[string][]goldenCase {
 	bivalent := diffInstance{"minwait-n3-bivalent", algorithms.MinWait{F: 1}, []sim.Value{0, 1, 1}, []sim.ProcessID{1, 2, 3}, 0}
 	for _, reduced := range []bool{false, true} {
 		for _, d := range []diffInstance{bivalent, crash, porInstances()[13], symInstances()[11]} {
-			addRow("TestParallelCriticalStepsMatchSequential", goldenRow{inst: d, sym: reduced, por: reduced, search: "critical"}, pairwiseConfigs()...)
+			addRow("TestParallelCriticalStepsMatchSequential", goldenRow{inst: d, sym: reduced, por: reduced, search: "critical"})
 		}
 		d := diffInstances()[0]
 		for _, r := range []goldenRow{
@@ -433,10 +402,38 @@ func goldenSuites() map[string][]goldenCase {
 			{search: "valence"},
 		} {
 			r.inst, r.sym, r.por, r.oracle = d, reduced, reduced, true
-			addRow("TestParallelSearchWithOracle", r, pairwiseConfigs()...)
+			addRow("TestParallelSearchWithOracle", r)
 		}
 	}
+
+	shareConfigs(cases)
+	suites := map[string][]goldenCase{}
+	for _, c := range cases {
+		suites[c.test] = append(suites[c.test], *c)
+	}
 	return suites
+}
+
+// shareConfigs hands each row's six pairwise configurations out among the
+// cases that check the row, so that across the suites every row runs at
+// every configuration exactly once: a configuration goes to the least
+// loaded case that takes its store, the earliest on a tie.
+func shareConfigs(cases []*goldenCase) {
+	byKey := map[string][]*goldenCase{}
+	for _, c := range cases {
+		byKey[c.row.key()] = append(byKey[c.row.key()], c)
+	}
+	for _, same := range byKey {
+		for _, cfg := range pairwiseConfigs {
+			var pick *goldenCase
+			for _, c := range same {
+				if (c.store == anyStore || c.store == cfg.store) && (pick == nil || len(c.configs) < len(pick.configs)) {
+					pick = c
+				}
+			}
+			pick.configs = append(pick.configs, cfg)
+		}
+	}
 }
 
 // goldenRows is the union of the suites' rows, one per key, sorted.
@@ -494,14 +491,18 @@ func TestKernelGoldenFile(t *testing.T) {
 	}
 }
 
-// runGoldenSuite runs the golden suite named after the calling test.
+// runGoldenSuite runs the golden suite named after the calling test. The
+// cases are independent searches, so they run in parallel.
 func runGoldenSuite(t *testing.T) {
 	cases := goldenSuites()[t.Name()]
 	if len(cases) == 0 {
 		t.Fatalf("no golden suite for %s", t.Name())
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) { checkGolden(t, c) })
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			checkGolden(t, c)
+		})
 	}
 }
 
