@@ -23,8 +23,9 @@
 // -instance takes a service.InstanceSpec JSON document, runs it to
 // completion, and prints a single canonical JSON object
 // {"verdict": ..., "progress": [[visited, level], ...]} on stdout. With
-// -shards N > 1 the search runs as N worker processes (re-execs of this
-// binary) coordinated over localhost HTTP; the output — verdict, visited
+// -shards N > 1 the search runs as N participants: this process plus N-1
+// worker processes (re-execs of this binary), joined by one all-gather
+// round per BFS chunk over localhost HTTP; the output — verdict, visited
 // count, and per-level profile — is bit-identical to -shards 1, which CI
 // enforces by diffing the two. The -shard-worker/-shard-index flags are the
 // internal re-exec entry point of those workers.
@@ -61,9 +62,9 @@ func run(args []string) int {
 	packed := fs.String("packed", "", "configuration engine: off (default, pointer-based) or on/auto (packed struct-of-arrays records where the algorithm supports them; bit-identical results, lower memory and time); see README, Packed engine")
 	writeGolden := fs.String("write-golden", "", "write each table to <dir>/<ID>.txt instead of stdout")
 	instance := fs.String("instance", "", "run one verification job (service.InstanceSpec JSON) instead of the experiment suite and print its verdict and level profile as JSON")
-	shards := fs.Int("shards", 1, "worker processes for the -instance search (1 = single-process; results are bit-identical at every count)")
+	shards := fs.Int("shards", 1, "participants in the -instance search: this process plus shards-1 worker processes (1 = single-process; results are bit-identical at every count)")
 	shardWorker := fs.String("shard-worker", "", "internal: run as a shard worker against this coordinator URL")
-	shardIndex := fs.Int("shard-index", -1, "internal: shard index for -shard-worker")
+	shardIndex := fs.Int("shard-index", -1, "internal: participant index (1 or more) for -shard-worker")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -136,8 +137,8 @@ func run(args []string) int {
 	return min(failed, 1)
 }
 
-// runInstance runs one verification job — sharded across worker processes
-// when shards > 1 — and prints {"verdict", "progress"} as one canonical
+// runInstance runs one verification job — sharded across this process and
+// shards-1 worker processes when shards > 1 — and prints {"verdict", "progress"} as one canonical
 // JSON object. Degradation notices are skipped: progress holds only the
 // deterministic (visited, level) pairs the sharded CI smoke diffs.
 func runInstance(specJSON string, shards int) int {

@@ -21,10 +21,12 @@
 //	ksetd -shards 4                                    # multi-process search jobs
 //
 // With -shards N > 1 the server runs eligible search-goal jobs (goal
-// "search", no checkpoint opt-in) as N worker processes — re-execs of this
-// binary coordinated over localhost HTTP — with verdicts bit-identical to
-// single-process execution; other jobs run in-process as usual. The
-// -shard-worker/-shard-index flags are the workers' internal entry point.
+// "search", no checkpoint opt-in) as N participants — the server process
+// plus N-1 worker processes, re-execs of this binary joined by one
+// all-gather round per BFS chunk over localhost HTTP — with verdicts
+// bit-identical to single-process execution; other jobs run in-process as
+// usual. The -shard-worker/-shard-index flags are the workers' internal
+// entry point.
 //
 // See the README's "Running the service" and "Operations & crash recovery"
 // sections for the endpoint reference and the recovery semantics.
@@ -63,9 +65,9 @@ func run() int {
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job wall-clock deadline; an expired job settles as failed with its partial progress (0 = unlimited)")
 		retries    = flag.Int("retries", 0, "re-run attempts for jobs failing with transient errors, with exponential backoff")
 		drain      = flag.Duration("drain", 5*time.Second, "graceful shutdown budget for in-flight jobs to reach their pause path")
-		shards     = flag.Int("shards", 1, "worker processes per eligible search job (goal \"search\", no checkpoint); 1 runs everything in-process")
+		shards     = flag.Int("shards", 1, "participants per eligible search job (goal \"search\", no checkpoint): the server plus shards-1 worker processes; 1 runs everything in-process")
 		shardURL   = flag.String("shard-worker", "", "internal: run as a shard worker against this coordinator URL")
-		shardIdx   = flag.Int("shard-index", -1, "internal: shard index for -shard-worker")
+		shardIdx   = flag.Int("shard-index", -1, "internal: participant index (1 or more) for -shard-worker")
 	)
 	flag.Parse()
 

@@ -636,9 +636,10 @@ func (e *Explorer) snapshotLevel(st *boundedState) {
 // runBounded drives the breadth-first kernel from st until a goal hit, a
 // census stop, exhaustion, or truncation (hit == nil; st.stats tells
 // truncation apart). The serial loop expands one parent at a time; more
-// than one worker runs the chunked parallel fan-out on expandLevel.
+// than one worker, or a sharded explorer, runs the chunked parallel fan-out
+// on expandLevel.
 func (e *Explorer) runBounded(st *boundedState, goal goalFunc) (*boundedHit, error) {
-	if e.searchWorkers() > 1 {
+	if e.searchWorkers() > 1 || e.shard != nil {
 		return e.runBoundedParallel(st, goal)
 	}
 	for len(st.frontier) > 0 {
@@ -715,7 +716,10 @@ func (e *Explorer) sealLevel(st *boundedState) {
 // winners in the serial loop's order. Chunk boundaries (a resumed search
 // starts mid-level) cannot change results: candidate order keys are
 // absolute frontier positions, and earlier chunks' children are sealed in
-// the visited set before later chunks expand.
+// the visited set before later chunks expand. On a sharded explorer each
+// chunk expands only the participant's own parents, and the chunk's round
+// (see shard.go) turns its winners into every participant's before the
+// merge.
 func (e *Explorer) runBoundedParallel(st *boundedState, goal goalFunc) (*boundedHit, error) {
 	ws := e.workerCtxs(e.searchWorkers())
 	ct := newClaimTable()
@@ -740,19 +744,29 @@ func (e *Explorer) runBoundedParallel(st *boundedState, goal goalFunc) (*bounded
 				st.stats.Truncated = true
 				return nil, nil
 			}
-			if e.cancelled() {
-				// As in runBounded: cancellation pauses via the truncation
-				// path, at a chunk boundary here.
-				st.stats.Truncated = true
-				st.stats.Cancelled = true
-				return nil, nil
-			}
 			limit := len(st.frontier) - st.pos
 			if limit > remaining {
 				limit = remaining
 			}
-			e.expandLevel(ws, st.frontier, st.pos, st.pos+limit, st.vis, ct, goal)
+			stop := e.cancelled()
+			if !stop {
+				e.expandLevel(ws, st.frontier, st.pos, st.pos+limit, st.vis, ct, goal)
+			}
 			winners = ct.take(winners)
+			if e.shard != nil {
+				var err error
+				winners, stop, err = e.shard.exchange(ws[0], st.frontier, st.pos, st.pos+limit, winners, stop)
+				if err != nil {
+					return nil, err
+				}
+			}
+			if stop {
+				// As in runBounded: cancellation pauses via the truncation
+				// path, at a chunk boundary here, before the chunk counts.
+				st.stats.Truncated = true
+				st.stats.Cancelled = true
+				return nil, nil
+			}
 			last := st.pos - 1 // the last parent the serial loop has expanded
 			for _, w := range winners {
 				parent := int(w.ord >> ordShift)
@@ -768,9 +782,12 @@ func (e *Explorer) runBoundedParallel(st *boundedState, goal goalFunc) (*bounded
 					last = parent
 				}
 				if !st.vis.Insert(w.key) {
-					// Unreachable: sealed keys were dropped during expansion
-					// and within-level duplicates were resolved by the claim
-					// table.
+					// A key that two participants of a sharded search both
+					// reached from parents they own: the union is in ord
+					// order, so the min-ord candidate was sealed and this one
+					// is dropped. Unsharded this never happens: sealed keys
+					// were dropped during expansion and duplicates within the
+					// chunk resolved by the claim table.
 					ws[0].release(w.cfg)
 					continue
 				}

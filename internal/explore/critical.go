@@ -107,6 +107,9 @@ func (e *Explorer) AnalyzeCriticalSteps() (*CriticalAnalysis, error) {
 // owns start from here on and recycles it with every other visited
 // configuration.
 func (e *Explorer) valenceFrom(start *sim.Configuration, crashesSpent, stopAt int) ([]sim.Value, Stats, error) {
+	if e.shard != nil {
+		return nil, Stats{}, fmt.Errorf("explore: valence censuses are not sharded")
+	}
 	c := &census{seen: map[sim.Value]bool{}, stopAt: stopAt}
 	collectDecisions(c.seen, start)
 	st := e.rootState(start, crashesSpent, &discardSink{})

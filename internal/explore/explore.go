@@ -285,6 +285,9 @@ type Explorer struct {
 	// breadth-first search with a retained level log, staged for Snapshot
 	// and for resuming (see bounded.go and checkpoint.go).
 	pending *pausedSearch
+	// shard is the explorer's part in a sharded search (see Shard); nil for
+	// a plain one.
+	shard *shardRole
 	// onVisited, when set, receives the visited-key set of every search the
 	// explorer starts (see newVisited). It is a test seam: the golden table
 	// digests the sets to prove engines seal identical configurations.

@@ -2,7 +2,9 @@ package explore
 
 // This file implements the chunked fan-out of the breadth-first kernel
 // (runBoundedParallel in bounded.go), active when Options.Workers resolves
-// to more than one.
+// to more than one and on every participant of a sharded search, which
+// expands only the parents it owns and exchanges the chunk's winners with
+// the other participants before the merge (see shard.go).
 //
 // Each chunk of a BFS level is processed in two phases.
 //
@@ -141,8 +143,10 @@ func (e *Explorer) workerCtxs(n int) []*searchCtx {
 // winners as one pass. vis is the sealed visited set — immutable while
 // workers run, hence read lock-free. goal, when non-nil, is evaluated on
 // every candidate that survives the sealed-visited check, in parallel, so
-// the merge only inspects the precomputed flag.
+// the merge only inspects the precomputed flag. A sharded explorer skips
+// the parents it does not own.
 func (e *Explorer) expandLevel(ws []*searchCtx, frontier []qent, lo, hi int, vis *visitedSet, ct *claimTable, goal goalFunc) {
+	shard := e.shard
 	workers := len(ws)
 	if workers > hi-lo {
 		workers = hi - lo
@@ -160,6 +164,9 @@ func (e *Explorer) expandLevel(ws []*searchCtx, frontier []qent, lo, hi int, vis
 					return
 				}
 				parent := frontier[i]
+				if shard != nil && !shard.owns(e, parent) {
+					continue
+				}
 				for ai, act := range sc.actions(parent.cfg, int(parent.crashes)) {
 					cfg, ok := sc.apply(parent.cfg, act)
 					if !ok {

@@ -1,57 +1,47 @@
 package explore
 
-// Multi-process sharded exploration.
+// Sharded exploration: one breadth-first search run by N participants.
 //
-// The level-synchronous bounded BFS of bounded.go distributes naturally:
-// partition the fingerprint space across N shards by key top bits
-// (ShardOwner), let each shard expand the frontier states it owns, and
-// exchange the successor candidates so every candidate is deduplicated by
-// the shard that owns its key. One coordinator sequences the levels and is
-// the single authority for goal hits, truncation, and statistics; it holds
-// no configurations at all — only the visited-key set of sealed winners and
-// the 8-byte generation records needed to read a witness path back.
+// A sharded search is the kernel's chunked fan-out (runBoundedParallel on
+// expandLevel) run N times over, once per participant, with the copies
+// joined by one all-gather round per chunk. Every participant holds the
+// whole search state — frontier configurations, visited set and level log
+// — and the copies differ only in which frontier positions they expand:
+// participant i expands the parents whose key it owns
+// (ShardOwner(key, N) == i). Per chunk each participant
 //
-// Per level the protocol is:
+//  1. expands its own parents of the chunk over Options.Workers goroutines
+//     into its claim table, exactly as the in-process fan-out does;
+//  2. posts the table's winners, deduplicated locally and sorted by ord,
+//     with its stop bit to the chunk's round, and receives every
+//     participant's list;
+//  3. rebuilds each remote winner by applying the winner's generation
+//     record to its own copy of the parent, checking the result against
+//     the announced key; and
+//  4. merges the union in ord order through the fan-out's merge, whose
+//     visited-set insert keeps the min-ord candidate of a key that two
+//     participants both produced.
 //
-//  1. expand — each worker expands its owned slice of the frontier exactly
-//     as the serial engine would (same action enumeration, same sealed-key
-//     skip, same goal evaluation), tagging every surviving candidate with
-//     the deterministic order key ord = parentPos<<ordShift | actionIndex
-//     used by the in-process parallel engine.
-//  2. exchange — candidates are batched by owner (ShardOwner of the
-//     candidate key) and routed through the hub; each shard receives every
-//     candidate it owns, from all workers.
-//  3. dedup — the owner sorts its candidates by ord and keeps the first
-//     per key: exactly the min-ord claim rule of parallel.go's claim
-//     table, so the surviving candidate set is bit-identical to the
-//     single-process search at any shard count.
-//  4. seal — the coordinator gathers the winner lists (disjoint by
-//     construction: each key has one owner), merges them by ord — the
-//     sequential insertion order — appends the generation records, applies
-//     the goal/budget arithmetic of runBoundedParallel, and publishes the
-//     sealed record list. Workers materialize the next frontier from the
-//     sealed records, which keeps frontier positions identical everywhere.
+// Every participant merges the same union into the same state, so all of
+// them make the same budget, goal-hit, truncation and level-seal decisions
+// and nothing but the round travels between them. Cancellation is the stop
+// bit: each participant posts whether its Options.Context is cancelled,
+// and a set bit ends the search at that chunk on every participant, with
+// the Stats the in-process fan-out reports when it sees cancellation there.
+// Order keys are absolute frontier positions and every position has one
+// owner, so the merged order is the serial loop's insertion order: results
+// are bit-identical to the plain search at any participant count, and one
+// participant is the plain fan-out plus a round trip.
 //
-// Workers and coordinator compute the exhaustion and budget-truncation
-// conditions from identical inputs (same MaxConfigs, same per-level
-// frontier and visited counts), so they agree on when a phase ends without
-// any extra control message; goal hits and cancellation end a phase early
-// through an explicit Halt seal. A search (FindConsensusFailure shape) is a
-// sequence of phases — one per goal kind — announced to the workers by the
-// coordinator.
-//
-// The hub is transport-agnostic: LocalShardHub implements the rendezvous
-// in-process (goroutine workers, tests, and experiment E15), and
-// internal/service wraps the same hub behind localhost HTTP for the
-// multi-process `-shards N` mode, using the length-prefixed binary codec of
-// shardcodec.go.
+// The exchange is transport-agnostic: LocalShardHub is the all-gather
+// barrier in process (goroutine participants, tests and experiment E15),
+// and internal/service serves the same hub over localhost HTTP to worker
+// processes, with the round message of shardcodec.go.
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"kset/internal/sim"
 )
 
 // ShardOwner maps a fingerprint key to its owning shard: the fixed-point
@@ -63,12 +53,11 @@ func ShardOwner(key uint64, shards int) int {
 	return int((key >> 32) * uint64(shards) >> 32)
 }
 
-// ShardCandidate is one successor produced by frontier expansion, routed to
-// the shard owning Key for deduplication. Bits is the packed levelRec
-// (parent frontier position + generating action) appended to the level log
-// if the candidate wins; Ord is the deterministic order key
-// parentPos<<ordShift | actionIndex that makes dedup and level-merge
-// reproduce the sequential insertion order exactly.
+// ShardCandidate is one chunk winner of a participant as posted to a
+// round. Key is its visited key, Ord its order key parentPos<<ordShift |
+// actionIndex, Bits its packed generation record (parent position and
+// action, see recBits), and Goal and Detail the witness predicate's result
+// on it.
 type ShardCandidate struct {
 	Key    uint64
 	Ord    uint64
@@ -77,760 +66,239 @@ type ShardCandidate struct {
 	Detail string
 }
 
-// LevelSeal closes one exchange round. Records lists the packed generation
-// records of the level's winners in sequential insertion order — the next
-// frontier, which every worker materializes identically. Halt ends the
-// phase instead (goal hit, cancellation, or mid-level truncation); Records
-// is empty then.
-type LevelSeal struct {
-	Records []uint64
-	Halt    bool
-}
-
-// ShardPhase announces one goal search of a phase sequence to the workers.
-// RootHit means the coordinator found the goal on the root configuration
-// and the phase needs no exploration. Done means the sequence is over and
-// workers should exit.
-type ShardPhase struct {
-	Kind    string
-	RootHit bool
-	Done    bool
-}
-
-// ShardExchange is a worker's stateful handle to the exchange protocol. The
-// handle tracks the phase cursor internally: NextPhase advances it, and the
-// level-scoped calls implicitly address the current phase.
+// ShardExchange is a participant's handle on the all-gather rounds of a
+// sharded search.
 type ShardExchange interface {
-	// NextPhase blocks until the coordinator announces the next phase (or
-	// the end of the sequence) and advances the handle's phase cursor.
-	NextPhase() (ShardPhase, error)
-	// Exchange posts this worker's candidates batched by owner
-	// (len(byOwner) == shards) and blocks until every worker has posted,
-	// returning all candidates owned by this shard.
-	Exchange(level int, byOwner [][]ShardCandidate) ([]ShardCandidate, error)
-	// SubmitWinners posts this shard's deduplicated winners and blocks
-	// until the coordinator seals the level.
-	SubmitWinners(level int, winners []ShardCandidate) (LevelSeal, error)
+	// Exchange posts this participant's candidates and stop bit for round
+	// and blocks until every participant has posted it, returning every
+	// participant's list, indexed by participant, and whether any
+	// participant set its stop bit.
+	Exchange(round int, cands []ShardCandidate, stop bool) (lists [][]ShardCandidate, anyStop bool, err error)
 }
 
-// ShardHub is the coordinator's side of the rendezvous.
-type ShardHub interface {
-	// StartPhase announces the next phase of the sequence.
-	StartPhase(kind string, rootHit bool) error
-	// GatherWinners blocks until every shard has submitted its winner list
-	// for the level and returns the lists indexed by shard.
-	GatherWinners(level int) ([][]ShardCandidate, error)
-	// Seal publishes the level's seal to the workers.
-	Seal(level int, seal LevelSeal) error
-	// Finish announces the end of the phase sequence.
-	Finish()
-	// Fail poisons the hub: every pending and future call on any side
-	// returns the error, so no participant blocks forever after one fails.
-	Fail(err error)
+// shardRole is an explorer's part in a sharded search; see Shard.
+type shardRole struct {
+	index, count int
+	ex           ShardExchange
+	round        int // the next round this participant posts
 }
 
-// goalForKind maps a phase kind to its witness predicate.
-func goalForKind(kind string) (goalFunc, error) {
-	switch kind {
-	case "disagreement":
-		return disagreementGoal, nil
-	case "blocking":
-		return blockingGoal, nil
-	}
-	return nil, fmt.Errorf("explore: unknown shard phase kind %q", kind)
-}
-
-// shardPrecheck rejects option combinations the sharded engine does not
-// support: DFS has no level structure to exchange, and checkpoint
-// pause/resume of a distributed search is future work — reject it loudly
-// rather than silently writing single-process checkpoints that a resumed
-// sharded search could not honor.
-func (e *Explorer) shardPrecheck(shards int) error {
-	if shards < 1 {
+// Shard makes the explorer participant shard of shards in a sharded search
+// over ex: its breadth-first witness searches expand only the parents the
+// participant owns and join the other participants' expansions with one
+// round per chunk, returning the plain search's results. Every participant
+// must run the same searches, in the same order, on an identically
+// configured explorer, and a participant whose search fails must fail the
+// exchange so the others unblock. Only participant 0 reports progress.
+// Checkpoints and depth-first searches are rejected, and valence censuses
+// do not run on a sharded explorer.
+func (e *Explorer) Shard(shard, shards int, ex ShardExchange) error {
+	switch {
+	case shards < 1:
 		return fmt.Errorf("explore: shard count %d out of range", shards)
-	}
-	if e.opts.Strategy == "dfs" {
+	case shard < 0 || shard >= shards:
+		return fmt.Errorf("explore: shard index %d out of range [0,%d)", shard, shards)
+	case e.opts.Strategy == "dfs":
 		return fmt.Errorf("explore: sharded search requires the BFS strategy")
-	}
-	if e.opts.Checkpoint != "" {
+	case e.opts.Checkpoint != "":
 		return fmt.Errorf("explore: sharded search does not support Options.Checkpoint")
 	}
+	if shard != 0 {
+		e.opts.OnProgress = nil
+	}
+	e.shard = &shardRole{index: shard, count: shards, ex: ex}
 	return nil
 }
 
-// ShardSearch runs one goal search as the coordinator of a sharded
-// exploration. It mirrors searchBounded/runBoundedParallel exactly — same
-// visited arithmetic, same truncation and cancellation points, same
-// progress callbacks — but receives each level's deduplicated winners from
-// the hub instead of expanding configurations itself. The returned Witness,
-// found flag, and Stats are bit-identical to the single-process search of
-// the same instance and options.
-func (e *Explorer) ShardSearch(kind string, hub ShardHub) (*Witness, bool, error) {
-	if err := e.shardPrecheck(1); err != nil {
-		return nil, false, err
-	}
-	goal, err := goalForKind(kind)
-	if err != nil {
-		return nil, false, err
-	}
-	start, err := e.initial()
-	if err != nil {
-		return nil, false, err
-	}
-	rootKey := e.key(start, 0)
-	detail, rootHit := goal(&e.sc, start)
-	e.release(start)
-	if err := hub.StartPhase(kind, rootHit); err != nil {
-		return nil, false, err
-	}
-	if rootHit {
-		run, err := e.replayActions(nil)
-		if err != nil {
-			return nil, false, err
-		}
-		return &Witness{Kind: kind, Run: run, Detail: detail}, true, nil
-	}
-
-	// The coordinator retains every level's records so a goal hit reads
-	// the witness path straight off — no re-search is ever needed.
-	var sink levelSink
-	if e.opts.Store == StoreSpill {
-		ds, err := newDiskSink(e.opts.SpillDir)
-		if err != nil {
-			return nil, false, err
-		}
-		sink = ds
-	} else {
-		sink = &memSink{}
-	}
-	defer sink.discard()
-
-	vis := newVisitedSet()
-	vis.Insert(rootKey)
-	var stats Stats
-	frontierLen := 1
-	level := 0
-	for frontierLen > 0 {
-		if err := sink.beginLevel(); err != nil {
-			return nil, false, err
-		}
-		remaining := e.opts.MaxConfigs - stats.Visited
-		if remaining <= 0 {
-			// Workers compute the identical condition from the identical
-			// inputs and stop without posting, so no exchange is pending.
-			stats.Truncated = true
-			return &Witness{Kind: kind, Stats: stats}, false, nil
-		}
-		limit := frontierLen
-		if limit > remaining {
-			limit = remaining
-		}
-		perShard, err := hub.GatherWinners(level)
-		if err != nil {
-			return nil, false, err
-		}
-		if e.cancelled() {
-			// As in runBoundedParallel, cancellation takes the truncation
-			// path before the level's visits are counted. The gather above
-			// already happened — workers post unconditionally — so the
-			// winners are simply discarded.
-			stats.Truncated = true
-			stats.Cancelled = true
-			if err := hub.Seal(level, LevelSeal{Halt: true}); err != nil {
-				return nil, false, err
-			}
-			return &Witness{Kind: kind, Stats: stats}, false, nil
-		}
-		merged := mergeWinners(perShard)
-		records := make([]uint64, 0, len(merged))
-		for _, w := range merged {
-			if !vis.Insert(w.Key) {
-				err := fmt.Errorf("explore: shard protocol violation: duplicate winner key %#x at level %d", w.Key, level)
-				hub.Fail(err)
-				return nil, false, err
-			}
-			if int(w.Ord>>ordShift) >= limit {
-				err := fmt.Errorf("explore: shard protocol violation: winner parent %d beyond level limit %d", w.Ord>>ordShift, limit)
-				hub.Fail(err)
-				return nil, false, err
-			}
-			if err := sink.append(recFromBits(w.Bits)); err != nil {
-				hub.Fail(err)
-				return nil, false, err
-			}
-			records = append(records, w.Bits)
-			if w.Goal {
-				// The sequential search finds this witness while expanding
-				// the winner's parent, having counted every parent up to
-				// and including it — and stops appending there.
-				stats.Visited += int(w.Ord>>ordShift) + 1
-				hit := &boundedHit{level: level + 1, pos: sink.levelLen(level) - 1, detail: w.Detail}
-				if err := hub.Seal(level, LevelSeal{Halt: true}); err != nil {
-					return nil, false, err
-				}
-				witness, err := e.boundedWitness(sink, hit, kind, stats)
-				if err != nil {
-					return nil, false, err
-				}
-				return witness, true, nil
-			}
-		}
-		stats.Visited += limit
-		if limit < frontierLen {
-			// Mid-level budget exhaustion: the single-process engine
-			// appends this chunk's winners, then trips the remaining <= 0
-			// check on its next iteration. Same stats, same verdict.
-			stats.Truncated = true
-			if err := hub.Seal(level, LevelSeal{Halt: true}); err != nil {
-				return nil, false, err
-			}
-			return &Witness{Kind: kind, Stats: stats}, false, nil
-		}
-		if err := hub.Seal(level, LevelSeal{Records: records}); err != nil {
-			return nil, false, err
-		}
-		frontierLen = len(records)
-		level++
-		e.progress(stats.Visited, level)
-	}
-	return &Witness{Kind: kind, Stats: stats}, false, nil
+// owns reports whether the participant expands parent p.
+func (r *shardRole) owns(e *Explorer, p qent) bool {
+	return ShardOwner(e.key(p.cfg, int(p.crashes)), r.count) == r.index
 }
 
-// mergeWinners concatenates the per-shard winner lists and orders them by
-// ord. Keys are disjoint across shards (each key has one owner) and ords
-// are globally unique (each frontier position is expanded by exactly one
-// worker), so the merge is a permutation-free total order: the sequential
-// insertion order.
-func mergeWinners(perShard [][]ShardCandidate) []ShardCandidate {
-	n := 0
-	for _, ws := range perShard {
-		n += len(ws)
+// exchange runs the round of the chunk frontier[lo:hi]: it posts this
+// participant's winners (sorted by ord) with its stop bit and returns the
+// union of every participant's winners, remote ones rebuilt on sc, in ord
+// order. When any participant set its stop bit it returns stop and no
+// winners.
+func (r *shardRole) exchange(sc *searchCtx, frontier []qent, lo, hi int, winners []candidate, stop bool) ([]candidate, bool, error) {
+	cands := make([]ShardCandidate, len(winners))
+	for i, w := range winners {
+		rec := levelRec{parent: int32(w.ord >> ordShift), act: w.act}
+		cands[i] = ShardCandidate{Key: w.key, Ord: w.ord, Bits: recBits(rec), Goal: w.goalOK, Detail: w.detail}
 	}
-	merged := make([]ShardCandidate, 0, n)
-	for _, ws := range perShard {
-		merged = append(merged, ws...)
+	round := r.round
+	r.round++
+	lists, stop, err := r.ex.Exchange(round, cands, stop)
+	if err != nil || stop {
+		return winners[:0], stop, err
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Ord < merged[j].Ord })
-	return merged
-}
-
-// dedupWinners applies the owner's claim rule: order candidates by ord and
-// keep the first per key — the min-ord winner, exactly as parallel.go's
-// claim table resolves within-level duplicates.
-func dedupWinners(cands []ShardCandidate) []ShardCandidate {
-	if len(cands) == 0 {
-		return nil
+	if len(lists) != r.count {
+		return nil, false, fmt.Errorf("explore: round %d gathered %d lists for %d participants", round, len(lists), r.count)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Ord < cands[j].Ord })
-	seen := make(map[uint64]struct{}, len(cands))
-	winners := cands[:0]
-	for _, c := range cands {
-		if _, dup := seen[c.Key]; dup {
+	for i, list := range lists {
+		if i == r.index {
 			continue
 		}
-		seen[c.Key] = struct{}{}
-		winners = append(winners, c)
+		for _, c := range list {
+			w, err := rebuild(sc, frontier, lo, hi, c)
+			if err != nil {
+				return nil, false, fmt.Errorf("explore: round %d participant %d: %w", round, i, err)
+			}
+			winners = append(winners, w)
+		}
 	}
-	return winners
+	sort.Slice(winners, func(i, j int) bool { return winners[i].ord < winners[j].ord })
+	return winners, false, nil
 }
 
-// shardEnt is one frontier entry of a worker: the configuration, its crash
-// budget spent, and its key (computed once — ownership tests and child
-// sealing reuse it).
-type shardEnt struct {
-	cfg     *sim.Configuration
-	crashes int32
-	key     uint64
+// rebuild turns a remote participant's winner into a local candidate by
+// applying its generation record to this participant's copy of the parent.
+// The winner comes from another process, so it is checked: its parent lies
+// in the chunk frontier[lo:hi], its record and its order key name the same
+// parent, its action applies, and the result has the announced key.
+func rebuild(sc *searchCtx, frontier []qent, lo, hi int, c ShardCandidate) (candidate, error) {
+	rec := recFromBits(c.Bits)
+	pos := c.Ord >> ordShift
+	if pos < uint64(lo) || pos >= uint64(hi) || uint64(rec.parent) != pos {
+		return candidate{}, fmt.Errorf("candidate %#x names parent %d (record %d) outside the chunk [%d,%d)", c.Key, pos, rec.parent, lo, hi)
+	}
+	parent := frontier[pos]
+	cfg, ok := sc.apply(parent.cfg, rec.act)
+	if !ok {
+		return candidate{}, fmt.Errorf("candidate %#x: action not applicable to parent %d", c.Key, pos)
+	}
+	crashes := parent.crashes
+	if rec.act.Crash {
+		crashes++
+	}
+	w := candidate{cfg: cfg, key: sc.e.key(cfg, int(crashes)), ord: c.Ord, crashes: crashes, act: rec.act, goalOK: c.Goal, detail: c.Detail}
+	if w.key != c.Key {
+		sc.release(cfg)
+		return candidate{}, fmt.Errorf("candidate %#x rebuilds to key %#x", c.Key, w.key)
+	}
+	return w, nil
 }
 
-// ShardWorker runs this explorer as shard `shard` of a sharded exploration:
-// it consumes the coordinator's phase announcements and runs the worker
-// side of each phase until the sequence ends. The explorer must be
-// configured identically to the coordinator's (the service layer enforces
-// this with an instance-digest handshake).
-func (e *Explorer) ShardWorker(shard, shards int, ex ShardExchange) error {
-	if err := e.shardPrecheck(shards); err != nil {
-		return err
-	}
-	if shard < 0 || shard >= shards {
-		return fmt.Errorf("explore: shard index %d out of range [0,%d)", shard, shards)
-	}
-	for {
-		ph, err := ex.NextPhase()
-		if err != nil {
-			return err
-		}
-		if ph.Done {
-			return nil
-		}
-		if ph.RootHit {
-			continue
-		}
-		goal, err := goalForKind(ph.Kind)
-		if err != nil {
-			return err
-		}
-		if err := e.shardExpand(goal, shard, shards, ex); err != nil {
-			return err
-		}
-	}
-}
-
-// shardExpand is the worker half of one phase: every worker materializes
-// the full frontier (so any owner distribution works without configuration
-// transfer — states rebuild from 8-byte records, cheaper to recompute than
-// to ship) but expands only the positions it owns, sending each surviving
-// candidate to the owner of its key. Sealed records then advance the
-// frontier one level everywhere at once.
-func (e *Explorer) shardExpand(goal goalFunc, shard, shards int, ex ShardExchange) error {
-	start, err := e.initial()
-	if err != nil {
-		return err
-	}
-	vis := newVisitedSet()
-	rootKey := e.key(start, 0)
-	vis.Insert(rootKey)
-	frontier := []shardEnt{{cfg: start, key: rootKey}}
-	releaseFrontier := func() {
-		for i := range frontier {
-			e.release(frontier[i].cfg)
-		}
-		frontier = nil
-	}
-	byOwner := make([][]ShardCandidate, shards)
-	visited := 0
-	level := 0
-	for len(frontier) > 0 {
-		// Identical arithmetic to the coordinator's level top, from
-		// identical inputs: both sides agree on exhaustion and truncation
-		// without a control round-trip.
-		remaining := e.opts.MaxConfigs - visited
-		if remaining <= 0 {
-			break
-		}
-		limit := len(frontier)
-		if limit > remaining {
-			limit = remaining
-		}
-		for i := range byOwner {
-			byOwner[i] = byOwner[i][:0]
-		}
-		for pos := 0; pos < limit; pos++ {
-			ent := frontier[pos]
-			if ShardOwner(ent.key, shards) != shard {
-				continue
-			}
-			for ai, act := range e.sc.actions(ent.cfg, int(ent.crashes)) {
-				next, ok := e.sc.apply(ent.cfg, act)
-				if !ok {
-					continue
-				}
-				crashes := ent.crashes
-				if act.Crash {
-					crashes++
-				}
-				key := e.key(next, int(crashes))
-				if vis.Contains(key) {
-					e.sc.release(next)
-					continue
-				}
-				cand := ShardCandidate{
-					Key:  key,
-					Ord:  uint64(pos)<<ordShift | uint64(ai),
-					Bits: recBits(levelRec{parent: int32(pos), act: act}),
-				}
-				// Goals are pure functions of configuration content, so
-				// evaluating before dedup — as the parallel engine does —
-				// cannot change which detail the winning candidate carries.
-				cand.Detail, cand.Goal = goal(&e.sc, next)
-				e.sc.release(next)
-				byOwner[ShardOwner(key, shards)] = append(byOwner[ShardOwner(key, shards)], cand)
-			}
-		}
-		mine, err := ex.Exchange(level, byOwner)
-		if err != nil {
-			releaseFrontier()
-			return err
-		}
-		seal, err := ex.SubmitWinners(level, dedupWinners(mine))
-		if err != nil {
-			releaseFrontier()
-			return err
-		}
-		if seal.Halt {
-			break
-		}
-		next := make([]shardEnt, 0, len(seal.Records))
-		fail := func(format string, args ...any) error {
-			for i := range next {
-				e.release(next[i].cfg)
-			}
-			releaseFrontier()
-			return fmt.Errorf(format, args...)
-		}
-		for idx, bits := range seal.Records {
-			rec := recFromBits(bits)
-			if int(rec.parent) < 0 || int(rec.parent) >= limit {
-				return fail("explore: shard seal level %d record %d: parent %d beyond limit %d", level, idx, rec.parent, limit)
-			}
-			parent := frontier[rec.parent]
-			cfg, ok := e.sc.apply(parent.cfg, rec.act)
-			if !ok {
-				return fail("explore: shard seal level %d record %d: action not applicable", level, idx)
-			}
-			crashes := parent.crashes
-			if rec.act.Crash {
-				crashes++
-			}
-			key := e.key(cfg, int(crashes))
-			if !vis.Insert(key) {
-				e.release(cfg)
-				return fail("explore: shard seal level %d record %d: key %#x already sealed", level, idx, key)
-			}
-			next = append(next, shardEnt{cfg: cfg, crashes: crashes, key: key})
-		}
-		releaseFrontier()
-		frontier = next
-		visited += limit
-		level++
-	}
-	releaseFrontier()
-	return nil
-}
-
-// LocalShardHub is the in-process rendezvous implementing both sides of
-// the exchange protocol: blocking calls for goroutine workers (tests,
-// experiment E15, and the root facade's in-process mode) plus non-blocking
-// Try/Post variants the HTTP facade of internal/service maps request
-// handlers onto — ksetd's write timeouts forbid handlers that park.
-//
-// Level state is keyed by (phase, level) because a slow worker may still be
-// draining the previous phase's final seal while faster workers have
-// entered the next phase at level 0. State retires deterministically:
-// sealing level L deletes (phase, L-1) — posting winners for L proves every
-// worker consumed seal L-1 — and starting phase P deletes everything from
-// phases <= P-2, which every worker left before P-1's final exchange could
-// complete.
+// LocalShardHub is the all-gather barrier of a sharded search. Participant
+// hands goroutine participants a blocking ShardExchange, and the HTTP
+// transport of internal/service maps its handlers onto the non-blocking
+// Post and Try (ksetd's write timeouts forbid handlers that park). A
+// round's state lives from its first post until every participant has
+// posted the next round, which proves each has read it.
 type LocalShardHub struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	shards int
 	err    error
-	phases []ShardPhase
-	done   bool
-	levels map[hubLevelKey]*hubLevel
+	rounds map[int]*hubRound
 }
 
-type hubLevelKey struct {
-	phase, level int
+// hubRound is the state of one all-gather round.
+type hubRound struct {
+	lists  [][]ShardCandidate
+	posted []bool
+	n      int
+	stop   bool
 }
 
-// hubLevel is the rendezvous state of one exchange round.
-type hubLevel struct {
-	posted  []bool
-	nposted int
-	owned   [][]ShardCandidate
-	winners [][]ShardCandidate
-	won     []bool
-	nwon    int
-	sealed  bool
-	seal    LevelSeal
-}
-
-// NewLocalShardHub creates a hub for the given number of worker shards.
+// NewLocalShardHub creates the barrier of a search with the given number
+// of participants.
 func NewLocalShardHub(shards int) *LocalShardHub {
-	h := &LocalShardHub{
-		shards: shards,
-		levels: make(map[hubLevelKey]*hubLevel),
-	}
+	h := &LocalShardHub{shards: shards, rounds: make(map[int]*hubRound)}
 	h.cond = sync.NewCond(&h.mu)
 	return h
 }
 
-// Shards returns the hub's worker count.
-func (h *LocalShardHub) Shards() int { return h.shards }
-
-// failLocked poisons the hub. Callers hold h.mu.
-func (h *LocalShardHub) failLocked(err error) {
-	if h.err == nil {
-		h.err = err
-	}
-	h.cond.Broadcast()
-}
-
-// Fail poisons the hub: every pending and future call returns err.
+// Fail poisons the hub: every pending and later call returns err (the
+// first one, if Fail is called again), so no participant blocks forever
+// after another fails.
 func (h *LocalShardHub) Fail(err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.failLocked(err)
 }
 
-// Err returns the hub's poison error, if any.
-func (h *LocalShardHub) Err() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+func (h *LocalShardHub) failLocked(err error) error {
+	if h.err == nil {
+		h.err = err
+	}
+	h.cond.Broadcast()
 	return h.err
 }
 
-// StartPhase implements ShardHub.
-func (h *LocalShardHub) StartPhase(kind string, rootHit bool) error {
+// Post records participant shard's candidates and stop bit for round. A
+// participant index out of range or a second post of the same round fails
+// the hub.
+func (h *LocalShardHub) Post(round, shard int, cands []ShardCandidate, stop bool) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.err != nil {
 		return h.err
 	}
-	if h.done {
-		return fmt.Errorf("explore: StartPhase after Finish")
-	}
-	h.phases = append(h.phases, ShardPhase{Kind: kind, RootHit: rootHit})
-	for k := range h.levels {
-		if k.phase <= len(h.phases)-3 {
-			delete(h.levels, k)
-		}
-	}
-	h.cond.Broadcast()
-	return nil
-}
-
-// Finish implements ShardHub. Previously posted seals stay fetchable so a
-// worker still draining the final level is not cut off.
-func (h *LocalShardHub) Finish() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.done = true
-	h.cond.Broadcast()
-}
-
-// levelLocked returns (creating on demand) the rendezvous state of one
-// exchange round. Callers hold h.mu.
-func (h *LocalShardHub) levelLocked(phase, level int) *hubLevel {
-	k := hubLevelKey{phase: phase, level: level}
-	hl := h.levels[k]
-	if hl == nil {
-		hl = &hubLevel{
-			posted:  make([]bool, h.shards),
-			owned:   make([][]ShardCandidate, h.shards),
-			winners: make([][]ShardCandidate, h.shards),
-			won:     make([]bool, h.shards),
-		}
-		h.levels[k] = hl
-	}
-	return hl
-}
-
-// checkShard validates a worker-supplied shard index. Callers hold h.mu.
-func (h *LocalShardHub) checkShard(shard int) error {
 	if shard < 0 || shard >= h.shards {
-		err := fmt.Errorf("explore: shard index %d out of range [0,%d)", shard, h.shards)
-		h.failLocked(err)
-		return err
+		return h.failLocked(fmt.Errorf("explore: shard index %d out of range [0,%d)", shard, h.shards))
 	}
-	return nil
-}
-
-// PostBuckets records one worker's owner-batched candidates for a level.
-// Aggregation order across workers is irrelevant: owners sort by ord before
-// deduplicating.
-func (h *LocalShardHub) PostBuckets(phase, level, shard int, byOwner [][]ShardCandidate) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.err != nil {
-		return h.err
+	r := h.rounds[round]
+	if r == nil {
+		r = &hubRound{lists: make([][]ShardCandidate, h.shards), posted: make([]bool, h.shards)}
+		h.rounds[round] = r
 	}
-	if err := h.checkShard(shard); err != nil {
-		return err
+	if r.posted[shard] {
+		return h.failLocked(fmt.Errorf("explore: shard %d posted round %d twice", shard, round))
 	}
-	if len(byOwner) != h.shards {
-		err := fmt.Errorf("explore: shard %d posted %d buckets for %d shards", shard, len(byOwner), h.shards)
-		h.failLocked(err)
-		return err
-	}
-	hl := h.levelLocked(phase, level)
-	if hl.posted[shard] {
-		err := fmt.Errorf("explore: shard %d double-posted buckets for phase %d level %d", shard, phase, level)
-		h.failLocked(err)
-		return err
-	}
-	hl.posted[shard] = true
-	hl.nposted++
-	for o, cands := range byOwner {
-		hl.owned[o] = append(hl.owned[o], cands...)
-	}
-	if hl.nposted == h.shards {
+	r.posted[shard] = true
+	r.lists[shard] = cands
+	r.stop = r.stop || stop
+	r.n++
+	if r.n == h.shards {
+		delete(h.rounds, round-1)
 		h.cond.Broadcast()
 	}
 	return nil
 }
 
-// TryOwned returns the candidates owned by shard once every worker has
-// posted its buckets; ok is false while the exchange is still filling.
-func (h *LocalShardHub) TryOwned(phase, level, shard int) (cands []ShardCandidate, ok bool, err error) {
+// Try returns round's lists and the OR of its stop bits once every
+// participant has posted it; ok is false until then. It creates no state.
+func (h *LocalShardHub) Try(round int) (lists [][]ShardCandidate, stop, ok bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.tryLocked(round)
+}
+
+func (h *LocalShardHub) tryLocked(round int) ([][]ShardCandidate, bool, bool, error) {
 	if h.err != nil {
-		return nil, false, h.err
+		return nil, false, false, h.err
 	}
-	if err := h.checkShard(shard); err != nil {
+	r := h.rounds[round]
+	if r == nil || r.n < h.shards {
+		return nil, false, false, nil
+	}
+	return r.lists, r.stop, true, nil
+}
+
+// Participant returns the blocking exchange handle of participant shard.
+func (h *LocalShardHub) Participant(shard int) ShardExchange {
+	return hubParticipant{h: h, shard: shard}
+}
+
+type hubParticipant struct {
+	h     *LocalShardHub
+	shard int
+}
+
+// Exchange implements ShardExchange: Post, then wait for the round.
+func (p hubParticipant) Exchange(round int, cands []ShardCandidate, stop bool) ([][]ShardCandidate, bool, error) {
+	h := p.h
+	if err := h.Post(round, p.shard, cands, stop); err != nil {
 		return nil, false, err
 	}
-	hl := h.levelLocked(phase, level)
-	if hl.nposted < h.shards {
-		return nil, false, nil
-	}
-	return hl.owned[shard], true, nil
-}
-
-// PostWinners records one shard's deduplicated winner list for a level.
-func (h *LocalShardHub) PostWinners(phase, level, shard int, winners []ShardCandidate) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.err != nil {
-		return h.err
-	}
-	if err := h.checkShard(shard); err != nil {
-		return err
-	}
-	hl := h.levelLocked(phase, level)
-	if hl.won[shard] {
-		err := fmt.Errorf("explore: shard %d double-posted winners for phase %d level %d", shard, phase, level)
-		h.failLocked(err)
-		return err
-	}
-	hl.won[shard] = true
-	hl.nwon++
-	hl.winners[shard] = winners
-	if hl.nwon == h.shards {
-		h.cond.Broadcast()
-	}
-	return nil
-}
-
-// TrySeal returns the level's seal once the coordinator has published it.
-func (h *LocalShardHub) TrySeal(phase, level int) (seal LevelSeal, ok bool, err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.err != nil {
-		return LevelSeal{}, false, h.err
-	}
-	hl := h.levelLocked(phase, level)
-	if !hl.sealed {
-		return LevelSeal{}, false, nil
-	}
-	return hl.seal, true, nil
-}
-
-// TryPhase returns phase seq of the sequence once announced; a Done phase
-// once the sequence is over.
-func (h *LocalShardHub) TryPhase(seq int) (ph ShardPhase, ok bool, err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.err != nil {
-		return ShardPhase{}, false, h.err
-	}
-	if seq < len(h.phases) {
-		return h.phases[seq], true, nil
-	}
-	if h.done {
-		return ShardPhase{Done: true}, true, nil
-	}
-	return ShardPhase{}, false, nil
-}
-
-// GatherWinners implements ShardHub.
-func (h *LocalShardHub) GatherWinners(level int) ([][]ShardCandidate, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	phase := len(h.phases) - 1
-	hl := h.levelLocked(phase, level)
-	for hl.nwon < h.shards && h.err == nil {
+	for {
+		lists, stop, ok, err := h.tryLocked(round)
+		if ok || err != nil {
+			return lists, stop, err
+		}
 		h.cond.Wait()
 	}
-	if h.err != nil {
-		return nil, h.err
-	}
-	return hl.winners, nil
-}
-
-// Seal implements ShardHub, retiring the previous level's rendezvous state:
-// every worker consumed seal L-1 before its winners for L could arrive.
-func (h *LocalShardHub) Seal(level int, seal LevelSeal) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.err != nil {
-		return h.err
-	}
-	phase := len(h.phases) - 1
-	hl := h.levelLocked(phase, level)
-	hl.seal = seal
-	hl.sealed = true
-	if level > 0 {
-		delete(h.levels, hubLevelKey{phase: phase, level: level - 1})
-	}
-	h.cond.Broadcast()
-	return nil
-}
-
-// Exchange returns the blocking ShardExchange handle of one worker shard.
-func (h *LocalShardHub) Exchange(shard int) ShardExchange {
-	return &localExchange{hub: h, shard: shard, phase: -1}
-}
-
-// localExchange adapts the hub's blocking rendezvous to the stateful
-// worker handle.
-type localExchange struct {
-	hub   *LocalShardHub
-	shard int
-	phase int // index of the phase currently executing; -1 before the first
-}
-
-func (x *localExchange) NextPhase() (ShardPhase, error) {
-	h := x.hub
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	seq := x.phase + 1
-	for seq >= len(h.phases) && !h.done && h.err == nil {
-		h.cond.Wait()
-	}
-	if h.err != nil {
-		return ShardPhase{}, h.err
-	}
-	if seq < len(h.phases) {
-		x.phase = seq
-		return h.phases[seq], nil
-	}
-	return ShardPhase{Done: true}, nil
-}
-
-func (x *localExchange) Exchange(level int, byOwner [][]ShardCandidate) ([]ShardCandidate, error) {
-	h := x.hub
-	if err := h.PostBuckets(x.phase, level, x.shard, byOwner); err != nil {
-		return nil, err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	hl := h.levelLocked(x.phase, level)
-	for hl.nposted < h.shards && h.err == nil {
-		h.cond.Wait()
-	}
-	if h.err != nil {
-		return nil, h.err
-	}
-	return hl.owned[x.shard], nil
-}
-
-func (x *localExchange) SubmitWinners(level int, winners []ShardCandidate) (LevelSeal, error) {
-	h := x.hub
-	if err := h.PostWinners(x.phase, level, x.shard, winners); err != nil {
-		return LevelSeal{}, err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	hl := h.levelLocked(x.phase, level)
-	for !hl.sealed && h.err == nil {
-		h.cond.Wait()
-	}
-	if h.err != nil {
-		return LevelSeal{}, h.err
-	}
-	return hl.seal, nil
 }

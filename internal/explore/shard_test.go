@@ -1,11 +1,17 @@
 package explore
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kset/internal/sim"
 	"kset/internal/testutil"
@@ -61,49 +67,57 @@ func TestShardOwnerProperty(t *testing.T) {
 	}
 }
 
+// shardOutcome is one participant's result of a sharded search, with the
+// digest of the visited-key sets its searches sealed.
+type shardOutcome struct {
+	w     *Witness
+	found bool
+	keys  string
+}
+
+// consensusFailureWithKeys runs plainConsensusFailure on e and digests the
+// visited-key sets of its searches.
+func consensusFailureWithKeys(e *Explorer) (shardOutcome, error) {
+	var sets []*visitedSet
+	e.onVisited = func(v *visitedSet) { sets = append(sets, v) }
+	w, found, err := plainConsensusFailure(e)
+	return shardOutcome{w: w, found: found, keys: keysDigest(sets)}, err
+}
+
 // runShardedConsensusFailure drives a full sharded consensus-failure search
-// in-process: a coordinator plus `shards` goroutine workers, each on its own
-// explorer from mk, over a LocalShardHub. It mirrors the
-// kset.Searcher.FindConsensusFailureSharded composition (disagreement
-// phase, then blocking even when disagreement truncated).
-func runShardedConsensusFailure(mk func() *Explorer, shards int) (*Witness, bool, error) {
+// in process: `shards` goroutine participants, each on its own explorer
+// from mk, over a LocalShardHub, as kset.Searcher.FindConsensusFailureSharded
+// composes them. It returns every participant's outcome.
+func runShardedConsensusFailure(mk func() *Explorer, shards int) ([]shardOutcome, error) {
 	hub := NewLocalShardHub(shards)
+	out := make([]shardOutcome, shards)
+	errs := make([]error, shards)
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			if err := mk().ShardWorker(shard, shards, hub.Exchange(shard)); err != nil {
-				hub.Fail(err)
+			e := mk()
+			err := e.Shard(shard, shards, hub.Participant(shard))
+			if err == nil {
+				out[shard], err = consensusFailureWithKeys(e)
+			}
+			if err != nil {
+				errs[shard] = fmt.Errorf("participant %d: %w", shard, err)
+				hub.Fail(errs[shard])
 			}
 		}(i)
 	}
-	coord := mk()
-	w, found, err := func() (*Witness, bool, error) {
-		defer hub.Finish()
-		w, found, err := coord.ShardSearch("disagreement", hub)
-		if err != nil {
-			hub.Fail(err)
-			return nil, false, err
-		}
-		if found {
-			return w, true, nil
-		}
-		w, found, err = coord.ShardSearch("blocking", hub)
-		if err != nil {
-			hub.Fail(err)
-		}
-		return w, found, err
-	}()
 	wg.Wait()
-	return w, found, err
+	return out, errors.Join(errs...)
 }
 
-// plainConsensusFailure is the single-process reference: FindDisagreement,
-// then FindBlocking on the same explorer — the FindConsensusFailure shape.
+// plainConsensusFailure is the FindConsensusFailure shape on one explorer:
+// FindDisagreement, then FindBlocking unless a witness was found or the
+// disagreement search was cancelled.
 func plainConsensusFailure(e *Explorer) (*Witness, bool, error) {
 	w, found, err := e.FindDisagreement()
-	if err != nil || found {
+	if err != nil || found || w.Stats.Cancelled {
 		return w, found, err
 	}
 	return e.FindBlocking()
@@ -140,41 +154,47 @@ func (d diffInstance) explorerOpts(o shardDiffOpts, maxConfigs int) *Explorer {
 }
 
 // TestShardedSearchMatchesSequential is the sharded differential matrix:
-// instances × reductions/stores × shard counts {1, 2, 3, 4}, asserting the
-// sharded search reproduces the single-process consensus-failure search
-// bit-identically — found flag, witness kind/detail, scheduled witness run,
-// and stats — and that found witnesses replay to genuine violations.
+// instances × reductions/stores × shard counts {1, 2, 3, 4}, asserting that
+// every participant of the sharded search returns the single-process
+// consensus-failure search's result bit for bit — found flag, witness
+// kind/detail, scheduled witness run, and stats — and seals the same
+// visited keys, and that found witnesses replay to genuine violations.
 func TestShardedSearchMatchesSequential(t *testing.T) {
 	for _, d := range diffInstances() {
 		for _, o := range shardDiffMatrix() {
 			t.Run(d.name+"/"+o.name, func(t *testing.T) {
-				want, wantFound, err := plainConsensusFailure(d.explorerOpts(o, 0))
+				want, err := consensusFailureWithKeys(d.explorerOpts(o, 0))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, shards := range []int{1, 2, 3, 4} {
-					got, found, err := runShardedConsensusFailure(func() *Explorer {
+					outs, err := runShardedConsensusFailure(func() *Explorer {
 						return d.explorerOpts(o, 0)
 					}, shards)
 					if err != nil {
 						t.Fatalf("shards=%d: %v", shards, err)
 					}
-					if found != wantFound {
-						t.Fatalf("shards=%d: found=%t, sequential says %t", shards, found, wantFound)
-					}
-					if got.Kind != want.Kind || got.Detail != want.Detail {
-						t.Fatalf("shards=%d: witness (%s, %q), sequential (%s, %q)",
-							shards, got.Kind, got.Detail, want.Kind, want.Detail)
-					}
-					if got.Stats != want.Stats {
-						t.Fatalf("shards=%d: stats %+v, sequential %+v", shards, got.Stats, want.Stats)
-					}
-					if found {
-						if runSignature(got.Run) != runSignature(want.Run) {
-							t.Fatalf("shards=%d: witness run diverged:\n got %s\nwant %s",
-								shards, runSignature(got.Run), runSignature(want.Run))
+					for i, got := range outs {
+						if got.found != want.found {
+							t.Fatalf("shards=%d participant %d: found=%t, sequential says %t", shards, i, got.found, want.found)
 						}
-						testutil.RevalidateWitness(t, got.Kind, got.Run)
+						if got.w.Kind != want.w.Kind || got.w.Detail != want.w.Detail {
+							t.Fatalf("shards=%d participant %d: witness (%s, %q), sequential (%s, %q)",
+								shards, i, got.w.Kind, got.w.Detail, want.w.Kind, want.w.Detail)
+						}
+						if got.w.Stats != want.w.Stats {
+							t.Fatalf("shards=%d participant %d: stats %+v, sequential %+v", shards, i, got.w.Stats, want.w.Stats)
+						}
+						if got.keys != want.keys {
+							t.Fatalf("shards=%d participant %d: visited keys %s, sequential %s", shards, i, got.keys, want.keys)
+						}
+						if got.found {
+							if runSignature(got.w.Run) != runSignature(want.w.Run) {
+								t.Fatalf("shards=%d participant %d: witness run diverged:\n got %s\nwant %s",
+									shards, i, runSignature(got.w.Run), runSignature(want.w.Run))
+							}
+							testutil.RevalidateWitness(t, got.w.Kind, got.w.Run)
+						}
 					}
 				}
 			})
@@ -185,7 +205,7 @@ func TestShardedSearchMatchesSequential(t *testing.T) {
 // TestShardedSearchTruncationParity pins the budget arithmetic: truncated
 // sharded searches (including mid-level truncation, where the budget runs
 // out partway through a frontier) report exactly the sequential engine's
-// visited counts and flags.
+// visited counts and flags on every participant.
 func TestShardedSearchTruncationParity(t *testing.T) {
 	d := diffInstances()[1] // minwait-n3-crash: a larger space with witnesses
 	for _, maxConfigs := range []int{1, 7, 57, 200, 1000} {
@@ -195,23 +215,79 @@ func TestShardedSearchTruncationParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 3} {
-			got, found, err := runShardedConsensusFailure(func() *Explorer {
+			outs, err := runShardedConsensusFailure(func() *Explorer {
 				return d.explorerOpts(shardDiffOpts{store: StoreFrontierOnly}, maxConfigs)
 			}, shards)
 			if err != nil {
 				t.Fatalf("max=%d shards=%d: %v", maxConfigs, shards, err)
 			}
-			if found != wantFound || got.Stats != want.Stats {
-				t.Fatalf("max=%d shards=%d: (found=%t, %+v), sequential (found=%t, %+v)",
-					maxConfigs, shards, found, got.Stats, wantFound, want.Stats)
+			for i, got := range outs {
+				if got.found != wantFound || got.w.Stats != want.Stats {
+					t.Fatalf("max=%d shards=%d participant %d: (found=%t, %+v), sequential (found=%t, %+v)",
+						maxConfigs, shards, i, got.found, got.w.Stats, wantFound, want.Stats)
+				}
 			}
 		}
 	}
 }
 
-// TestShardedSearchLevelProfile pins the per-level progress stream: the
-// coordinator reports the same (visited, level) sequence as the
-// single-process bounded engine — the level profile the multi-process CI
+// TestShardedSearchCancelParity cancels a sharded search from participant
+// 0's OnProgress at a level boundary. The stop bit must end the search at
+// the next chunk on every participant, each reporting the Stats of a
+// Workers 2 search cancelled at the same boundary, and every participant
+// must return.
+func TestShardedSearchCancelParity(t *testing.T) {
+	d := diffInstances()[3] // flpkset-n3: an exhaustive disagreement phase of many levels
+	const level = 3
+	cancelAt := func(workers int) *Explorer {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		return New(sim.Restrict(d.alg, d.live), d.inputs, Options{
+			Live:       d.live,
+			MaxCrashes: d.crashes,
+			Workers:    workers,
+			Context:    ctx,
+			OnProgress: func(_, l int) {
+				if l == level {
+					cancel()
+				}
+			},
+		})
+	}
+	want, wantFound, err := plainConsensusFailure(cancelAt(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantFound || !want.Stats.Cancelled || !want.Stats.Truncated || want.Stats.Visited == 0 {
+		t.Fatalf("reference search was not cancelled mid-search: found=%t %+v", wantFound, want.Stats)
+	}
+	for _, shards := range []int{2, 3} {
+		done := make(chan struct{})
+		var outs []shardOutcome
+		go func() {
+			defer close(done)
+			outs, err = runShardedConsensusFailure(func() *Explorer { return cancelAt(1) }, shards)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("shards=%d: participants did not return after cancellation", shards)
+		}
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		for i, got := range outs {
+			if got.found || got.w.Stats != want.Stats {
+				t.Fatalf("shards=%d participant %d: (found=%t, %+v), Workers 2 (found=%t, %+v)",
+					shards, i, got.found, got.w.Stats, wantFound, want.Stats)
+			}
+		}
+	}
+}
+
+// TestShardedSearchLevelProfile pins the per-level progress stream:
+// participant 0, the only one reporting, emits the same (visited, level)
+// sequence as the single-process bounded engine — the level profile the multi-process CI
 // smoke diffs too. Both sides run with a retained sink (StoreSpill) so the
 // single-process engine builds its witness directly instead of re-searching,
 // which would emit the profile twice.
@@ -239,7 +315,7 @@ func TestShardedSearchLevelProfile(t *testing.T) {
 			}
 			var mu sync.Mutex
 			dir := t.TempDir()
-			_, found, err := runShardedConsensusFailure(func() *Explorer {
+			outs, err := runShardedConsensusFailure(func() *Explorer {
 				return d.spillExplorer(dir, func(v, l int) {
 					mu.Lock()
 					gotProg = append(gotProg, [2]int{v, l})
@@ -249,8 +325,8 @@ func TestShardedSearchLevelProfile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if found != wantFound {
-				t.Fatalf("found=%t, sequential says %t", found, wantFound)
+			if outs[0].found != wantFound {
+				t.Fatalf("found=%t, sequential says %t", outs[0].found, wantFound)
 			}
 			if !reflect.DeepEqual(gotProg, wantProg) {
 				t.Fatalf("level profile diverged:\n got %v\nwant %v", gotProg, wantProg)
@@ -259,59 +335,32 @@ func TestShardedSearchLevelProfile(t *testing.T) {
 	}
 }
 
-// TestShardCodecRoundTrip pins the exchange codec on a representative
-// payload, including empty buckets, goal candidates with details, and a
-// halt seal.
+// TestShardCodecRoundTrip pins the round message on representative
+// payloads: a participant's post (one list, goal candidates with details),
+// a gathered reply with the stop bit and an empty list, and an empty round.
 func TestShardCodecRoundTrip(t *testing.T) {
-	batches := [][]ShardCandidate{
-		{
-			{Key: 1, Ord: 2, Bits: 3},
-			{Key: math.MaxUint64, Ord: 1 << 40, Bits: 1 << 56, Goal: true, Detail: "decisions [0 1] reached"},
-		},
-		nil,
-		{{Key: 0xdeadbeef, Ord: 0, Bits: 0}},
+	post := []ShardCandidate{
+		{Key: 1, Ord: 2, Bits: 3},
+		{Key: math.MaxUint64, Ord: 1 << 40, Bits: 1 << 56, Goal: true, Detail: "decisions [0 1] reached"},
 	}
-	enc, err := EncodeShardBatches(batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeShardBatches(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != len(batches) {
-		t.Fatalf("decoded %d batches, want %d", len(dec), len(batches))
-	}
-	for i := range batches {
-		if len(batches[i]) == 0 && len(dec[i]) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(dec[i], batches[i]) {
-			t.Fatalf("batch %d diverged: %+v vs %+v", i, dec[i], batches[i])
-		}
-	}
-	cands, err := EncodeShardCandidates(batches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, err := DecodeShardCandidates(cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dc, batches[0]) {
-		t.Fatalf("candidate list diverged: %+v vs %+v", dc, batches[0])
-	}
-	for _, seal := range []LevelSeal{
-		{},
-		{Halt: true},
-		{Records: []uint64{1, 2, 3, math.MaxUint64}},
+	for _, msg := range []struct {
+		stop  bool
+		lists [][]ShardCandidate
+	}{
+		{false, [][]ShardCandidate{post}},
+		{true, [][]ShardCandidate{post, {}, {{Key: 0xdeadbeef}}}},
+		{false, [][]ShardCandidate{}},
 	} {
-		got, err := DecodeLevelSeal(EncodeLevelSeal(seal))
+		enc, err := EncodeShardRound(msg.stop, msg.lists)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Halt != seal.Halt || !reflect.DeepEqual(append([]uint64{}, got.Records...), append([]uint64{}, seal.Records...)) {
-			t.Fatalf("seal diverged: %+v vs %+v", got, seal)
+		stop, lists, err := DecodeShardRound(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stop != msg.stop || !reflect.DeepEqual(lists, msg.lists) {
+			t.Fatalf("round diverged: (%t, %+v) vs (%t, %+v)", stop, lists, msg.stop, msg.lists)
 		}
 	}
 }
@@ -319,113 +368,127 @@ func TestShardCodecRoundTrip(t *testing.T) {
 // TestShardCodecRejectsCorrupt spot-checks the decoder's defenses; the fuzz
 // target explores far beyond these.
 func TestShardCodecRejectsCorrupt(t *testing.T) {
-	valid, err := EncodeShardBatches([][]ShardCandidate{{{Key: 1, Ord: 2, Bits: 3, Detail: "x"}}})
+	valid, err := EncodeShardRound(false, [][]ShardCandidate{{{Key: 1, Ord: 2, Bits: 3, Detail: "x"}}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	corrupt := func(i int, b byte) []byte {
+		c := append([]byte{}, valid...)
+		c[i] = b
+		return c
 	}
 	bad := [][]byte{
 		nil,
 		{},
-		[]byte("KSB1"),
+		[]byte("KSR1"),
 		valid[:len(valid)-1],
 		append(append([]byte{}, valid...), 0),
+		corrupt(0, 'X'),                    // magic
+		corrupt(4, 2),                      // stop flag
+		corrupt(9+4+24, 2),                 // goal flag
+		corrupt(5, 0xff),                   // list count beyond the body
+		corrupt(9, 0xff),                   // candidate count beyond the body
+		corrupt(9+4+25, 0xff),              // detail length beyond the body
+		[]byte("KSC1\x00\x00\x00\x00\x00"), // a retired message
 	}
-	hdr := append([]byte{}, valid...)
-	hdr[0] = 'X'
-	bad = append(bad, hdr)
 	for i, data := range bad {
-		if _, err := DecodeShardBatches(data); err == nil {
+		if _, _, err := DecodeShardRound(data); err == nil {
 			t.Fatalf("corrupt input %d decoded without error", i)
 		}
 	}
-	if _, err := DecodeShardCandidates([]byte("KSC1")); err == nil {
-		t.Fatal("truncated candidate list decoded without error")
-	}
-	if _, err := DecodeLevelSeal([]byte("KSS1\x02\x00\x00\x00\x00")); err == nil {
-		t.Fatal("bad halt flag decoded without error")
+	if _, err := EncodeShardRound(false, [][]ShardCandidate{{{Detail: strings.Repeat("x", maxShardDetail)}}}); err == nil {
+		t.Fatal("oversized detail encoded without error")
 	}
 }
 
-// FuzzShardCodec asserts the exchange codec never panics or over-allocates
-// on arbitrary input, and that anything that decodes re-encodes to a
-// decodable equal value (a full round-trip law on the valid subset).
+// FuzzShardCodec asserts the round codec never panics or over-allocates on
+// arbitrary input, and that the encoding is canonical: anything that
+// decodes re-encodes to the same bytes.
 func FuzzShardCodec(f *testing.F) {
-	if enc, err := EncodeShardBatches([][]ShardCandidate{
-		{{Key: 1, Ord: 2, Bits: 3, Goal: true, Detail: "d"}},
-		nil,
-	}); err == nil {
-		f.Add(enc)
+	for _, msg := range []struct {
+		stop  bool
+		lists [][]ShardCandidate
+	}{
+		{false, [][]ShardCandidate{{{Key: 1, Ord: 2, Bits: 3, Goal: true, Detail: "d"}}}},
+		{true, [][]ShardCandidate{{{Key: 9, Ord: 8, Bits: 7}}, nil}},
+		{true, nil},
+		{false, [][]ShardCandidate{nil, nil, {{Key: 1 << 63, Ord: 1 << 20}}}},
+	} {
+		if enc, err := EncodeShardRound(msg.stop, msg.lists); err == nil {
+			f.Add(enc)
+		}
 	}
-	if enc, err := EncodeShardCandidates([]ShardCandidate{{Key: 9, Ord: 8, Bits: 7}}); err == nil {
-		f.Add(enc)
-	}
-	f.Add(EncodeLevelSeal(LevelSeal{Records: []uint64{1, 2, 3}}))
-	f.Add(EncodeLevelSeal(LevelSeal{Halt: true}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if batches, err := DecodeShardBatches(data); err == nil {
-			enc, err := EncodeShardBatches(batches)
-			if err != nil {
-				t.Fatalf("re-encoding decoded batches: %v", err)
-			}
-			again, err := DecodeShardBatches(enc)
-			if err != nil {
-				t.Fatalf("decoding re-encoded batches: %v", err)
-			}
-			if len(again) != len(batches) {
-				t.Fatalf("round trip changed batch count: %d vs %d", len(again), len(batches))
-			}
+		stop, lists, err := DecodeShardRound(data)
+		if err != nil {
+			return
 		}
-		if cands, err := DecodeShardCandidates(data); err == nil {
-			enc, err := EncodeShardCandidates(cands)
-			if err != nil {
-				t.Fatalf("re-encoding decoded candidates: %v", err)
-			}
-			if again, err := DecodeShardCandidates(enc); err != nil || len(again) != len(cands) {
-				t.Fatalf("candidate round trip: err=%v len %d vs %d", err, len(again), len(cands))
-			}
+		enc, err := EncodeShardRound(stop, lists)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded round: %v", err)
 		}
-		if seal, err := DecodeLevelSeal(data); err == nil {
-			if again, err := DecodeLevelSeal(EncodeLevelSeal(seal)); err != nil || again.Halt != seal.Halt || len(again.Records) != len(seal.Records) {
-				t.Fatalf("seal round trip: err=%v %+v vs %+v", err, again, seal)
-			}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("round trip changed the bytes:\n got %x\nwant %x", enc, data)
 		}
 	})
 }
 
+// TestLocalShardHubAllGather pins the barrier: a round is ready only once
+// every participant has posted it, carries every list and the OR of the
+// stop bits, and is retired when the next round fills; Try never creates
+// state, and a second post of a round poisons the hub.
+func TestLocalShardHubAllGather(t *testing.T) {
+	hub := NewLocalShardHub(3)
+	if _, _, ok, err := hub.Try(7); ok || err != nil || len(hub.rounds) != 0 {
+		t.Fatalf("Try of an unposted round: ok=%t err=%v, %d rounds held", ok, err, len(hub.rounds))
+	}
+	lists := [][]ShardCandidate{{{Key: 1}}, nil, {{Key: 2}, {Key: 3}}}
+	for round := 0; round < 2; round++ {
+		for shard, stop := range []bool{false, round == 1, false} {
+			if _, _, ok, _ := hub.Try(round); ok {
+				t.Fatalf("round %d ready before participant %d posted", round, shard)
+			}
+			if err := hub.Post(round, shard, lists[shard], stop); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, stop, ok, err := hub.Try(round)
+		if !ok || err != nil || stop != (round == 1) || !reflect.DeepEqual(got, lists) {
+			t.Fatalf("round %d: ok=%t err=%v stop=%t lists %+v", round, ok, err, stop, got)
+		}
+	}
+	if _, ok := hub.rounds[0]; ok || len(hub.rounds) != 1 {
+		t.Fatalf("round 0 not retired after round 1 filled: %d rounds held", len(hub.rounds))
+	}
+	if err := hub.Post(1, 2, nil, false); err == nil {
+		t.Fatal("second post of a round accepted")
+	}
+	if _, _, _, err := hub.Try(1); err == nil {
+		t.Fatal("hub not poisoned by a second post")
+	}
+}
+
 // TestLocalShardHubFailUnblocks asserts Fail poisons every blocked
-// participant instead of deadlocking the rendezvous.
+// participant instead of deadlocking the barrier.
 func TestLocalShardHubFailUnblocks(t *testing.T) {
-	hub := NewLocalShardHub(2)
-	if err := hub.StartPhase("disagreement", false); err != nil {
-		t.Fatal(err)
-	}
+	hub := NewLocalShardHub(3)
 	done := make(chan error, 2)
-	ex := hub.Exchange(0)
-	if _, err := ex.NextPhase(); err != nil {
-		t.Fatal(err)
+	for shard := 0; shard < 2; shard++ {
+		go func() {
+			// Blocks: participant 2 never posts.
+			_, _, err := hub.Participant(shard).Exchange(0, nil, false)
+			done <- err
+		}()
 	}
-	go func() {
-		// Blocks: shard 1 never posts.
-		_, err := ex.Exchange(0, make([][]ShardCandidate, 2))
-		done <- err
-	}()
-	go func() {
-		_, err := hub.GatherWinners(0)
-		done <- err
-	}()
 	hub.Fail(errDeliberate)
 	for i := 0; i < 2; i++ {
 		if err := <-done; err == nil {
 			t.Fatal("blocked participant returned nil after Fail")
 		}
 	}
-	if _, _, err := hub.TryPhase(0); err == nil {
-		t.Fatal("TryPhase returned nil after Fail")
+	if _, _, _, err := hub.Try(0); err == nil {
+		t.Fatal("Try returned nil after Fail")
 	}
 }
 
-var errDeliberate = errDeliberateType{}
-
-type errDeliberateType struct{}
-
-func (errDeliberateType) Error() string { return "deliberate failure" }
+var errDeliberate = errors.New("deliberate failure")

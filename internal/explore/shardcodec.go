@@ -5,193 +5,107 @@ import (
 	"fmt"
 )
 
-// Wire codec for the shard exchange protocol: candidate lists (winner
-// submissions and owned-candidate fetches), owner-batched candidate lists
-// (bucket posts), and level seals. The format is length-prefixed
-// little-endian binary with a magic/version header per message — compact
-// enough that a bucket post costs ~25 bytes per candidate — and decoding is
-// defensive throughout: any malformed input returns an error (never a
-// panic, never an over-allocation), a robustness the FuzzShardCodec target
+// Wire codec of the shard exchange: one message, the round, carrying a stop
+// flag and candidate lists. A participant posts its own list and stop bit;
+// the gathered reply carries every participant's list and the OR of the
+// stop bits. The format is length-prefixed little-endian binary behind a
+// magic/version header, about 27 bytes per candidate, and decoding is
+// defensive throughout: malformed input returns an error, never a panic or
+// an allocation beyond the input's size, which the FuzzShardCodec target
 // hammers on.
 
-// Message magics. The trailing digit versions the format.
-var (
-	shardCandsMagic   = [4]byte{'K', 'S', 'C', '1'}
-	shardBatchesMagic = [4]byte{'K', 'S', 'B', '1'}
-	shardSealMagic    = [4]byte{'K', 'S', 'S', '1'}
-)
+// shardRoundMagic heads a round message; the trailing digit versions the
+// format.
+var shardRoundMagic = [4]byte{'K', 'S', 'R', '1'}
 
 // maxShardDetail bounds a candidate's goal detail string on the wire.
 const maxShardDetail = 1 << 16
 
-// shardPrealloc caps slice preallocation from wire-supplied counts: a
-// corrupt count cannot allocate more than this up front, and honest counts
-// beyond it just grow by append.
-const shardPrealloc = 1 << 16
+// shardCandBytes is the wire size of a candidate without its detail.
+const shardCandBytes = 27
 
-func appendCands(buf []byte, cands []ShardCandidate) ([]byte, error) {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cands)))
-	for i := range cands {
-		c := &cands[i]
-		if len(c.Detail) >= maxShardDetail {
-			return nil, fmt.Errorf("explore: candidate detail %d bytes exceeds wire limit", len(c.Detail))
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, c.Key)
-		buf = binary.LittleEndian.AppendUint64(buf, c.Ord)
-		buf = binary.LittleEndian.AppendUint64(buf, c.Bits)
-		flag := byte(0)
-		if c.Goal {
-			flag = 1
-		}
-		buf = append(buf, flag)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.Detail)))
-		buf = append(buf, c.Detail...)
-	}
-	return buf, nil
-}
-
-func decodeCands(data []byte) (cands []ShardCandidate, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("explore: shard codec: truncated candidate count")
-	}
-	n := binary.LittleEndian.Uint32(data)
-	data = data[4:]
-	pre := int(n)
-	if pre > shardPrealloc {
-		pre = shardPrealloc
-	}
-	cands = make([]ShardCandidate, 0, pre)
-	for i := uint32(0); i < n; i++ {
-		if len(data) < 27 {
-			return nil, nil, fmt.Errorf("explore: shard codec: truncated candidate %d of %d", i, n)
-		}
-		c := ShardCandidate{
-			Key:  binary.LittleEndian.Uint64(data),
-			Ord:  binary.LittleEndian.Uint64(data[8:]),
-			Bits: binary.LittleEndian.Uint64(data[16:]),
-		}
-		switch data[24] {
-		case 0:
-		case 1:
-			c.Goal = true
-		default:
-			return nil, nil, fmt.Errorf("explore: shard codec: bad goal flag %d", data[24])
-		}
-		dlen := int(binary.LittleEndian.Uint16(data[25:]))
-		data = data[27:]
-		if len(data) < dlen {
-			return nil, nil, fmt.Errorf("explore: shard codec: truncated detail of candidate %d", i)
-		}
-		c.Detail = string(data[:dlen])
-		data = data[dlen:]
-		cands = append(cands, c)
-	}
-	return cands, data, nil
-}
-
-// EncodeShardCandidates serializes one candidate list (a winner submission
-// or an owned-candidate response).
-func EncodeShardCandidates(cands []ShardCandidate) ([]byte, error) {
-	return appendCands(append([]byte(nil), shardCandsMagic[:]...), cands)
-}
-
-// DecodeShardCandidates reverses EncodeShardCandidates.
-func DecodeShardCandidates(data []byte) ([]ShardCandidate, error) {
-	if len(data) < 4 || [4]byte(data[:4]) != shardCandsMagic {
-		return nil, fmt.Errorf("explore: shard codec: bad candidate-list header")
-	}
-	cands, rest, err := decodeCands(data[4:])
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("explore: shard codec: %d trailing bytes after candidate list", len(rest))
-	}
-	return cands, nil
-}
-
-// EncodeShardBatches serializes an owner-batched candidate list (one
-// worker's bucket post: index = owning shard).
-func EncodeShardBatches(batches [][]ShardCandidate) ([]byte, error) {
-	buf := append([]byte(nil), shardBatchesMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(batches)))
-	var err error
-	for _, b := range batches {
-		if buf, err = appendCands(buf, b); err != nil {
-			return nil, err
+// EncodeShardRound serializes a round message.
+func EncodeShardRound(stop bool, lists [][]ShardCandidate) ([]byte, error) {
+	buf := append([]byte(nil), shardRoundMagic[:]...)
+	buf = append(buf, boolByte(stop))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(lists)))
+	for _, cands := range lists {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cands)))
+		for i := range cands {
+			c := &cands[i]
+			if len(c.Detail) >= maxShardDetail {
+				return nil, fmt.Errorf("explore: candidate detail %d bytes exceeds wire limit", len(c.Detail))
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, c.Key)
+			buf = binary.LittleEndian.AppendUint64(buf, c.Ord)
+			buf = binary.LittleEndian.AppendUint64(buf, c.Bits)
+			buf = append(buf, boolByte(c.Goal))
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.Detail)))
+			buf = append(buf, c.Detail...)
 		}
 	}
 	return buf, nil
 }
 
-// DecodeShardBatches reverses EncodeShardBatches.
-func DecodeShardBatches(data []byte) ([][]ShardCandidate, error) {
-	if len(data) < 8 || [4]byte(data[:4]) != shardBatchesMagic {
-		return nil, fmt.Errorf("explore: shard codec: bad batch-list header")
+// DecodeShardRound reverses EncodeShardRound.
+func DecodeShardRound(data []byte) (stop bool, lists [][]ShardCandidate, err error) {
+	if len(data) < 9 || [4]byte(data[:4]) != shardRoundMagic {
+		return false, nil, fmt.Errorf("explore: shard codec: bad round header")
 	}
-	n := binary.LittleEndian.Uint32(data[4:])
-	data = data[8:]
-	pre := int(n)
-	if pre > shardPrealloc {
-		pre = shardPrealloc
-	}
-	batches := make([][]ShardCandidate, 0, pre)
-	for i := uint32(0); i < n; i++ {
-		cands, rest, err := decodeCands(data)
-		if err != nil {
-			return nil, fmt.Errorf("explore: shard codec: batch %d: %w", i, err)
-		}
-		batches = append(batches, cands)
-		data = rest
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("explore: shard codec: %d trailing bytes after batch list", len(data))
-	}
-	return batches, nil
-}
-
-// EncodeLevelSeal serializes a level seal.
-func EncodeLevelSeal(seal LevelSeal) []byte {
-	buf := append([]byte(nil), shardSealMagic[:]...)
-	flag := byte(0)
-	if seal.Halt {
-		flag = 1
-	}
-	buf = append(buf, flag)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(seal.Records)))
-	for _, r := range seal.Records {
-		buf = binary.LittleEndian.AppendUint64(buf, r)
-	}
-	return buf
-}
-
-// DecodeLevelSeal reverses EncodeLevelSeal.
-func DecodeLevelSeal(data []byte) (LevelSeal, error) {
-	if len(data) < 9 || [4]byte(data[:4]) != shardSealMagic {
-		return LevelSeal{}, fmt.Errorf("explore: shard codec: bad seal header")
-	}
-	var seal LevelSeal
-	switch data[4] {
-	case 0:
-	case 1:
-		seal.Halt = true
-	default:
-		return LevelSeal{}, fmt.Errorf("explore: shard codec: bad halt flag %d", data[4])
+	if stop, err = byteBool(data[4], "stop"); err != nil {
+		return false, nil, err
 	}
 	n := binary.LittleEndian.Uint32(data[5:])
 	data = data[9:]
-	if uint64(len(data)) != uint64(n)*8 {
-		return LevelSeal{}, fmt.Errorf("explore: shard codec: seal body %d bytes, want %d records", len(data), n)
-	}
-	if n > 0 {
-		pre := int(n)
-		if pre > shardPrealloc {
-			pre = shardPrealloc
+	// Every list takes at least 4 bytes and every candidate 27, so no
+	// wire-supplied count can allocate beyond the input's size.
+	lists = make([][]ShardCandidate, 0, min(uint64(n), uint64(len(data)/4)))
+	for i := uint32(0); i < n; i++ {
+		if len(data) < 4 {
+			return false, nil, fmt.Errorf("explore: shard codec: truncated count of list %d of %d", i, n)
 		}
-		seal.Records = make([]uint64, 0, pre)
-		for i := uint32(0); i < n; i++ {
-			seal.Records = append(seal.Records, binary.LittleEndian.Uint64(data[i*8:]))
+		m := binary.LittleEndian.Uint32(data)
+		data = data[4:]
+		cands := make([]ShardCandidate, 0, min(uint64(m), uint64(len(data)/shardCandBytes)))
+		for j := uint32(0); j < m; j++ {
+			if len(data) < shardCandBytes {
+				return false, nil, fmt.Errorf("explore: shard codec: truncated candidate %d of list %d", j, i)
+			}
+			c := ShardCandidate{
+				Key:  binary.LittleEndian.Uint64(data),
+				Ord:  binary.LittleEndian.Uint64(data[8:]),
+				Bits: binary.LittleEndian.Uint64(data[16:]),
+			}
+			if c.Goal, err = byteBool(data[24], "goal"); err != nil {
+				return false, nil, err
+			}
+			dlen := int(binary.LittleEndian.Uint16(data[25:]))
+			data = data[shardCandBytes:]
+			if len(data) < dlen {
+				return false, nil, fmt.Errorf("explore: shard codec: truncated detail of candidate %d of list %d", j, i)
+			}
+			c.Detail = string(data[:dlen])
+			data = data[dlen:]
+			cands = append(cands, c)
 		}
+		lists = append(lists, cands)
 	}
-	return seal, nil
+	if len(data) != 0 {
+		return false, nil, fmt.Errorf("explore: shard codec: %d trailing bytes after round", len(data))
+	}
+	return stop, lists, nil
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func byteBool(b byte, name string) (bool, error) {
+	if b > 1 {
+		return false, fmt.Errorf("explore: shard codec: bad %s flag %d", name, b)
+	}
+	return b == 1, nil
 }

@@ -18,30 +18,28 @@ import (
 	"kset/internal/explore"
 )
 
-// Multi-process sharded exploration: the coordinator half of
-// kset.ShardCoordinate served over localhost HTTP, plus the worker-side
-// client and process plumbing behind the `-shards N` flag of
-// cmd/experiments and cmd/ksetd.
+// Multi-process sharded exploration: the all-gather rounds of a sharded
+// search served over localhost HTTP, plus the worker-side client and the
+// process plumbing behind the `-shards N` flag of cmd/experiments and
+// cmd/ksetd.
 //
-// The coordinator embeds an explore.LocalShardHub and exposes its
-// non-blocking Try/Post surface as HTTP endpoints on an ephemeral
-// 127.0.0.1 listener — handlers never park (the job server's write
-// timeouts forbid it); workers poll the 202-until-ready reads. Worker
-// processes bootstrap from GET /v1/shard/instance, which carries the full
-// InstanceSpec plus the coordinator's content digest; a worker recomputes
-// the digest from the spec it decoded and refuses to participate on
-// mismatch, so a version-skewed binary fails fast instead of corrupting a
-// bit-identical search. Frontier exchange bodies use the length-prefixed
-// binary codec of internal/explore (EncodeShardBatches and friends), not
-// JSON: candidate batches are the protocol's hot path.
+// A sharded search has N participants (see kset.Searcher.ShardParticipant).
+// The coordinator process runs participant 0 on an explore.LocalShardHub and
+// serves the hub's non-blocking Post/Try surface as HTTP endpoints on an
+// ephemeral 127.0.0.1 listener, to N-1 worker processes running the others;
+// handlers never park (the job server's write timeouts forbid it), so
+// workers poll the 202-until-ready read. Worker processes bootstrap from
+// GET /v1/shard/instance, which carries the full InstanceSpec plus the
+// coordinator's content digest; a worker recomputes the digest from the
+// spec it decoded and refuses to participate on mismatch, so a
+// version-skewed binary fails fast instead of corrupting a bit-identical
+// search. Round bodies use the binary round message of internal/explore
+// (EncodeShardRound), not JSON: candidate lists are the hot path.
 //
-//	GET  /v1/shard/instance                      spec + shards + digest
-//	GET  /v1/shard/phase?seq=N                   200 phase JSON | 202
-//	POST /v1/shard/buckets?phase&level&shard     KSB1 body
-//	GET  /v1/shard/owned?phase&level&shard       200 KSC1 | 202
-//	POST /v1/shard/winners?phase&level&shard     KSC1 body
-//	GET  /v1/shard/seal?phase&level              200 KSS1 | 202
-//	POST /v1/shard/error                         {"error": ...} -> hub.Fail
+//	GET  /v1/shard/instance             spec + shards + digest
+//	POST /v1/shard/round?round&shard    KSR1 body: stop bit + one list
+//	GET  /v1/shard/round?round          200 KSR1: any stop + every list | 202
+//	POST /v1/shard/error                {"error": ...} -> hub.Fail
 //
 // A poisoned hub answers 500 with the error everywhere, which each
 // participant converts back into a local failure — exactly the
@@ -55,7 +53,7 @@ type shardInstance struct {
 	Digest string       `json:"digest"`
 }
 
-// shardHub serves one sharded search's coordination state.
+// shardHub serves one sharded search's rounds.
 type shardHub struct {
 	hub  *explore.LocalShardHub
 	inst shardInstance
@@ -79,25 +77,8 @@ func (h *shardHub) handler() http.Handler {
 	mux.HandleFunc("GET /v1/shard/instance", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, h.inst)
 	})
-	mux.HandleFunc("GET /v1/shard/phase", func(w http.ResponseWriter, r *http.Request) {
-		q, err := shardQuery(r, "seq")
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		ph, ok, err := h.hub.TryPhase(q[0])
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		if !ok {
-			w.WriteHeader(http.StatusAccepted)
-			return
-		}
-		writeJSON(w, http.StatusOK, ph)
-	})
-	mux.HandleFunc("POST /v1/shard/buckets", func(w http.ResponseWriter, r *http.Request) {
-		q, err := shardQuery(r, "phase", "level", "shard")
+	mux.HandleFunc("POST /v1/shard/round", func(w http.ResponseWriter, r *http.Request) {
+		q, err := shardQuery(r, "round", "shard")
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
@@ -107,24 +88,27 @@ func (h *shardHub) handler() http.Handler {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		batches, err := explore.DecodeShardBatches(body)
+		stop, lists, err := explore.DecodeShardRound(body)
+		if err == nil && len(lists) != 1 {
+			err = fmt.Errorf("a post carries one list, got %d", len(lists))
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if err := h.hub.PostBuckets(q[0], q[1], q[2], batches); err != nil {
+		if err := h.hub.Post(q[0], q[1], lists[0], stop); err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("GET /v1/shard/owned", func(w http.ResponseWriter, r *http.Request) {
-		q, err := shardQuery(r, "phase", "level", "shard")
+	mux.HandleFunc("GET /v1/shard/round", func(w http.ResponseWriter, r *http.Request) {
+		q, err := shardQuery(r, "round")
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		cands, ok, err := h.hub.TryOwned(q[0], q[1], q[2])
+		lists, stop, ok, err := h.hub.Try(q[0])
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
@@ -133,53 +117,13 @@ func (h *shardHub) handler() http.Handler {
 			w.WriteHeader(http.StatusAccepted)
 			return
 		}
-		enc, err := explore.EncodeShardCandidates(cands)
+		enc, err := explore.EncodeShardRound(stop, lists)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write(enc)
-	})
-	mux.HandleFunc("POST /v1/shard/winners", func(w http.ResponseWriter, r *http.Request) {
-		q, err := shardQuery(r, "phase", "level", "shard")
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		winners, err := explore.DecodeShardCandidates(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if err := h.hub.PostWinners(q[0], q[1], q[2], winners); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("GET /v1/shard/seal", func(w http.ResponseWriter, r *http.Request) {
-		q, err := shardQuery(r, "phase", "level")
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		seal, ok, err := h.hub.TrySeal(q[0], q[1])
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		if !ok {
-			w.WriteHeader(http.StatusAccepted)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(explore.EncodeLevelSeal(seal))
 	})
 	mux.HandleFunc("POST /v1/shard/error", func(w http.ResponseWriter, r *http.Request) {
 		var body struct {
@@ -195,20 +139,19 @@ func (h *shardHub) handler() http.Handler {
 	return mux
 }
 
-// shardPollInterval paces the workers' 202 polls. Exchange rounds are
-// milliseconds on realistic levels, so a short fixed interval stays
-// responsive without hammering the coordinator.
+// shardPollInterval paces the workers' 202 polls. Rounds are milliseconds
+// on realistic levels, so a short fixed interval stays responsive without
+// hammering the coordinator.
 const shardPollInterval = 2 * time.Millisecond
 
 // shardClient implements explore.ShardExchange over the coordinator's HTTP
-// hub: posts go through once, reads poll until the rendezvous completes.
-// Like the in-process exchange handle it tracks its phase cursor locally.
+// hub: a post goes through once, the gathered round is polled until every
+// participant has posted.
 type shardClient struct {
 	ctx    context.Context
 	client *http.Client
 	base   string
 	shard  int
-	phase  int
 }
 
 // do performs one request, distinguishing ready (200/204), still-filling
@@ -243,73 +186,31 @@ func (c *shardClient) do(method, path string, body []byte) (data []byte, ready b
 	}
 }
 
-// poll repeats a read until the coordinator reports it ready.
-func (c *shardClient) poll(path string) ([]byte, error) {
+// Exchange implements explore.ShardExchange.
+func (c *shardClient) Exchange(round int, cands []explore.ShardCandidate, stop bool) ([][]explore.ShardCandidate, bool, error) {
+	body, err := explore.EncodeShardRound(stop, [][]explore.ShardCandidate{cands})
+	if err != nil {
+		return nil, false, err
+	}
+	if _, _, err := c.do(http.MethodPost, fmt.Sprintf("/v1/shard/round?round=%d&shard=%d", round, c.shard), body); err != nil {
+		return nil, false, err
+	}
+	path := fmt.Sprintf("/v1/shard/round?round=%d", round)
 	for {
 		data, ready, err := c.do(http.MethodGet, path, nil)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if ready {
-			return data, nil
+			stop, lists, err := explore.DecodeShardRound(data)
+			return lists, stop, err
 		}
 		select {
 		case <-c.ctx.Done():
-			return nil, c.ctx.Err()
+			return nil, false, c.ctx.Err()
 		case <-time.After(shardPollInterval):
 		}
 	}
-}
-
-// NextPhase implements explore.ShardExchange.
-func (c *shardClient) NextPhase() (explore.ShardPhase, error) {
-	seq := c.phase + 1
-	data, err := c.poll(fmt.Sprintf("/v1/shard/phase?seq=%d", seq))
-	if err != nil {
-		return explore.ShardPhase{}, err
-	}
-	var ph explore.ShardPhase
-	if err := json.Unmarshal(data, &ph); err != nil {
-		return explore.ShardPhase{}, fmt.Errorf("service: malformed phase: %w", err)
-	}
-	if !ph.Done {
-		c.phase = seq
-	}
-	return ph, nil
-}
-
-// Exchange implements explore.ShardExchange.
-func (c *shardClient) Exchange(level int, byOwner [][]explore.ShardCandidate) ([]explore.ShardCandidate, error) {
-	body, err := explore.EncodeShardBatches(byOwner)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := c.do(http.MethodPost,
-		fmt.Sprintf("/v1/shard/buckets?phase=%d&level=%d&shard=%d", c.phase, level, c.shard), body); err != nil {
-		return nil, err
-	}
-	data, err := c.poll(fmt.Sprintf("/v1/shard/owned?phase=%d&level=%d&shard=%d", c.phase, level, c.shard))
-	if err != nil {
-		return nil, err
-	}
-	return explore.DecodeShardCandidates(data)
-}
-
-// SubmitWinners implements explore.ShardExchange.
-func (c *shardClient) SubmitWinners(level int, winners []explore.ShardCandidate) (explore.LevelSeal, error) {
-	body, err := explore.EncodeShardCandidates(winners)
-	if err != nil {
-		return explore.LevelSeal{}, err
-	}
-	if _, _, err := c.do(http.MethodPost,
-		fmt.Sprintf("/v1/shard/winners?phase=%d&level=%d&shard=%d", c.phase, level, c.shard), body); err != nil {
-		return explore.LevelSeal{}, err
-	}
-	data, err := c.poll(fmt.Sprintf("/v1/shard/seal?phase=%d&level=%d", c.phase, level))
-	if err != nil {
-		return explore.LevelSeal{}, err
-	}
-	return explore.DecodeLevelSeal(data)
 }
 
 // ShardConfig parameterizes RunShardedSearch.
@@ -317,22 +218,25 @@ type ShardConfig struct {
 	// Spec is the search job; must have Goal == GoalSearch and no
 	// checkpoint opt-in (distributed pause/resume is future work).
 	Spec InstanceSpec
-	// Shards is the worker-process count (>= 1).
+	// Shards is the participant count (>= 1): this process plus Shards-1
+	// worker processes.
 	Shards int
-	// WorkerArgs builds the command line of one worker process given the
-	// coordinator's base URL; typically a re-exec of the current binary
-	// with hidden worker flags. Workers inherit the coordinator's stderr.
+	// WorkerArgs builds the command line of the worker process running
+	// participant shard (1 <= shard < Shards) given the coordinator's base
+	// URL; typically a re-exec of the current binary with hidden worker
+	// flags. Workers inherit the coordinator's stderr.
 	WorkerArgs func(coordURL string, shard int) []string
-	// OnProgress, when non-nil, receives the coordinator's per-level
-	// progress updates.
+	// OnProgress, when non-nil, receives participant 0's per-level progress
+	// updates.
 	OnProgress func(ProgressUpdate)
 }
 
 // RunShardedSearch runs one GoalSearch job as a multi-process sharded
-// exploration: an in-process coordinator serving the shard hub on an
-// ephemeral localhost listener, plus cfg.Shards worker processes spawned
+// exploration: participant 0 in this process, serving the shard hub on an
+// ephemeral localhost listener, plus cfg.Shards-1 worker processes spawned
 // from cfg.WorkerArgs. The verdict is bit-identical to KsetRunner.Run on
-// the same spec at any shard count.
+// the same spec at any shard count. A worker that exits nonzero fails the
+// search.
 func RunShardedSearch(ctx context.Context, cfg ShardConfig) (*Verdict, error) {
 	spec := cfg.Spec.withDefaults()
 	if spec.Goal != GoalSearch {
@@ -368,13 +272,14 @@ func RunShardedSearch(ctx context.Context, cfg ShardConfig) (*Verdict, error) {
 	coordURL := "http://" + ln.Addr().String()
 
 	// procCtx is a cleanup backstop, not the cancellation path: a user
-	// cancel flows cooperatively through the coordinator (truncated
-	// verdict, Halt seal, workers drain and exit zero); the hard kill only
-	// fires once RunShardedSearch itself returns.
+	// cancel reaches every participant as participant 0's stop bit in the
+	// next round (truncated verdict everywhere, workers exit zero); the
+	// hard kill only fires once RunShardedSearch itself returns.
 	procCtx, stopWorkers := context.WithCancel(context.Background())
 	defer stopWorkers()
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Shards; i++ {
+	workerErrs := make(chan error, cfg.Shards)
+	for i := 1; i < cfg.Shards; i++ {
 		args := cfg.WorkerArgs(coordURL, i)
 		if len(args) == 0 {
 			hub.Fail(fmt.Errorf("service: empty worker command for shard %d", i))
@@ -391,18 +296,26 @@ func RunShardedSearch(ctx context.Context, cfg ShardConfig) (*Verdict, error) {
 		go func(shard int, cmd *exec.Cmd) {
 			defer wg.Done()
 			if err := cmd.Wait(); err != nil {
-				// A worker that died mid-protocol would otherwise leave the
-				// coordinator parked in a gather; poisoning the hub turns the
-				// crash into a prompt coordinator error. After a clean finish
-				// the Fail is a no-op for the already-returned coordinator.
-				hub.Fail(fmt.Errorf("service: shard %d worker: %w", shard, err))
+				// A worker that died mid-search would otherwise leave the
+				// other participants parked in a round; poisoning the hub
+				// turns the crash into a prompt error everywhere.
+				err = fmt.Errorf("service: shard %d worker: %w", shard, err)
+				hub.Fail(err)
+				workerErrs <- err
 			}
 		}(i, cmd)
 	}
 
 	onProgress, _ := progressFuncs(cfg.OnProgress)
-	w, found, err := p.search.ShardCoordinate(ctx, p.request(onProgress), hub)
+	w, found, err := p.search.ShardParticipant(ctx, p.request(onProgress), 0, cfg.Shards, hub.Participant(0))
+	if err != nil {
+		hub.Fail(err)
+	}
 	wg.Wait()
+	close(workerErrs)
+	if err == nil {
+		err = <-workerErrs
+	}
 	if err != nil {
 		return nil, fmt.Errorf("service: sharded search: %w", err)
 	}
@@ -411,11 +324,11 @@ func RunShardedSearch(ctx context.Context, cfg ShardConfig) (*Verdict, error) {
 
 // ShardWorkerMain is the entry point of a worker process: it bootstraps the
 // instance from the coordinator, verifies the content digest, and runs its
-// shard until the coordinator finishes the phase sequence. Protocol errors
-// are reported back to the coordinator (best effort) before returning.
+// participant of the search to the end. Errors are reported back to the
+// coordinator (best effort) before returning.
 func ShardWorkerMain(ctx context.Context, coordURL string, shard int) error {
 	client := &http.Client{}
-	c := &shardClient{ctx: ctx, client: client, base: coordURL, shard: shard, phase: -1}
+	c := &shardClient{ctx: ctx, client: client, base: coordURL, shard: shard}
 	var inst shardInstance
 	// Brief retry: the coordinator always listens before spawning workers,
 	// but a loaded machine can still glitch the first connect.
@@ -434,8 +347,9 @@ func ShardWorkerMain(ctx context.Context, coordURL string, shard int) error {
 	if err := json.Unmarshal(data, &inst); err != nil {
 		return fmt.Errorf("service: malformed shard instance: %w", err)
 	}
-	if shard < 0 || shard >= inst.Shards {
-		return c.reportError(fmt.Errorf("service: shard index %d out of range [0,%d)", shard, inst.Shards))
+	if shard < 1 || shard >= inst.Shards {
+		// Participant 0 is the coordinator's own.
+		return c.reportError(fmt.Errorf("service: worker shard index %d out of range [1,%d)", shard, inst.Shards))
 	}
 	r := KsetRunner{}
 	digest, err := r.Digest(inst.Spec)
@@ -450,7 +364,7 @@ func ShardWorkerMain(ctx context.Context, coordURL string, shard int) error {
 	if err != nil {
 		return c.reportError(fmt.Errorf("service: shard %d: %w", shard, err))
 	}
-	if err := p.search.ShardWorkerRun(ctx, p.request(nil), shard, inst.Shards, c); err != nil {
+	if _, _, err := p.search.ShardParticipant(ctx, p.request(nil), shard, inst.Shards, c); err != nil {
 		return c.reportError(fmt.Errorf("service: shard %d: %w", shard, err))
 	}
 	return nil
@@ -472,7 +386,8 @@ func (c *shardClient) reportError(err error) error {
 // verdicts are bit-identical at every shard count.
 type ShardedRunner struct {
 	KsetRunner
-	// Shards is the worker-process count; <= 1 disables sharding.
+	// Shards is the participant count: this process plus Shards-1 worker
+	// processes; <= 1 disables sharding.
 	Shards int
 	// WorkerArgs builds worker command lines (see ShardConfig.WorkerArgs).
 	WorkerArgs func(coordURL string, shard int) []string

@@ -24,10 +24,11 @@ func shardSearchSpec() InstanceSpec {
 
 // The HTTP exchange path end to end, in-process: a shardHub served over
 // httptest, worker goroutines running the real ShardWorkerMain bootstrap
-// (instance fetch, digest verification, shardClient polling), and the
-// coordinator half on the test goroutine. The verdict and the per-level
-// progress must be bit-identical to KsetRunner.Run on the same spec.
-// Run under -race in CI: it is the data-race gate for the exchange path.
+// (instance fetch, digest verification, shardClient polling) as
+// participants 1..N-1, and participant 0 on the test goroutine. The verdict
+// and the per-level progress must be bit-identical to KsetRunner.Run on the
+// same spec. Run under -race in CI: it is the data-race gate for the
+// exchange path.
 func TestShardedHTTPSearchMatchesSingleProcess(t *testing.T) {
 	spec := shardSearchSpec()
 	r := KsetRunner{}
@@ -51,7 +52,7 @@ func TestShardedHTTPSearchMatchesSingleProcess(t *testing.T) {
 			defer srv.Close()
 
 			var wg sync.WaitGroup
-			for i := 0; i < shards; i++ {
+			for i := 1; i < shards; i++ {
 				wg.Add(1)
 				go func(shard int) {
 					defer wg.Done()
@@ -67,7 +68,10 @@ func TestShardedHTTPSearchMatchesSingleProcess(t *testing.T) {
 			}
 			var gotProg []ProgressUpdate
 			onProgress, _ := progressFuncs(func(u ProgressUpdate) { gotProg = append(gotProg, u) })
-			w, found, err := p.search.ShardCoordinate(context.Background(), p.request(onProgress), hub)
+			w, found, err := p.search.ShardParticipant(context.Background(), p.request(onProgress), 0, shards, hub.Participant(0))
+			if err != nil {
+				hub.Fail(err)
+			}
 			wg.Wait()
 			if err != nil {
 				t.Fatal(err)
@@ -84,28 +88,30 @@ func TestShardedHTTPSearchMatchesSingleProcess(t *testing.T) {
 }
 
 // A worker whose recomputed digest disagrees with the coordinator's refuses
-// to participate and poisons the hub, so the coordinator fails promptly
-// instead of waiting on a shard that will never exchange.
+// to participate and poisons the hub, so the other participants fail
+// promptly instead of waiting on one that will never post.
 func TestShardWorkerDigestMismatch(t *testing.T) {
 	spec := shardSearchSpec()
-	hub := explore.NewLocalShardHub(1)
+	hub := explore.NewLocalShardHub(2)
 	srv := httptest.NewServer((&shardHub{
 		hub:  hub,
-		inst: shardInstance{Spec: spec.withDefaults(), Shards: 1, Digest: "badc0ffeebadc0ff"},
+		inst: shardInstance{Spec: spec.withDefaults(), Shards: 2, Digest: "badc0ffeebadc0ff"},
 	}).handler())
 	defer srv.Close()
 
-	err := ShardWorkerMain(context.Background(), srv.URL, 0)
+	err := ShardWorkerMain(context.Background(), srv.URL, 1)
 	if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("want digest-mismatch error, got %v", err)
 	}
 	// The refusal was reported: the hub is poisoned for every participant.
-	if _, _, err := hub.TryPhase(1); err == nil {
+	if _, _, _, err := hub.Try(0); err == nil {
 		t.Fatal("hub not poisoned after worker digest refusal")
 	}
 }
 
-// A worker with an out-of-range shard index likewise refuses and reports.
+// A worker with an out-of-range shard index likewise refuses and reports;
+// index 0 is out of a worker's range, since participant 0 is the
+// coordinator's own.
 func TestShardWorkerIndexOutOfRange(t *testing.T) {
 	spec := shardSearchSpec()
 	r := KsetRunner{}
@@ -113,19 +119,21 @@ func TestShardWorkerIndexOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := explore.NewLocalShardHub(2)
-	srv := httptest.NewServer((&shardHub{
-		hub:  hub,
-		inst: shardInstance{Spec: spec.withDefaults(), Shards: 2, Digest: digest},
-	}).handler())
-	defer srv.Close()
+	for _, shard := range []int{7, 0} {
+		hub := explore.NewLocalShardHub(2)
+		srv := httptest.NewServer((&shardHub{
+			hub:  hub,
+			inst: shardInstance{Spec: spec.withDefaults(), Shards: 2, Digest: digest},
+		}).handler())
+		defer srv.Close()
 
-	if err := ShardWorkerMain(context.Background(), srv.URL, 7); err == nil ||
-		!strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("want out-of-range error, got %v", err)
-	}
-	if _, _, err := hub.TryPhase(1); err == nil {
-		t.Fatal("hub not poisoned after worker index refusal")
+		if err := ShardWorkerMain(context.Background(), srv.URL, shard); err == nil ||
+			!strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("shard %d: want out-of-range error, got %v", shard, err)
+		}
+		if _, _, _, err := hub.Try(0); err == nil {
+			t.Fatalf("shard %d: hub not poisoned after worker index refusal", shard)
+		}
 	}
 }
 
@@ -218,6 +226,21 @@ func TestShardedRunnerDelegates(t *testing.T) {
 	})
 }
 
+// buildExperiments builds cmd/experiments for the process tests and
+// returns the WorkerArgs that re-exec it as a shard worker.
+func buildExperiments(t *testing.T) func(coordURL string, shard int) []string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "experiments")
+	build := exec.Command("go", "build", "-o", bin, "kset/cmd/experiments")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building cmd/experiments: %v", err)
+	}
+	return func(coordURL string, shard int) []string {
+		return []string{bin, "-shard-worker", coordURL, "-shard-index", strconv.Itoa(shard)}
+	}
+}
+
 // The real thing: worker processes. RunShardedSearch re-execing the test
 // binary's cmd/experiments build at several shard counts must produce
 // byte-identical verdicts to the single-process runner. Skipped in -short
@@ -226,13 +249,7 @@ func TestShardedProcessSearch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process test skipped in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "experiments")
-	build := exec.Command("go", "build", "-o", bin, "kset/cmd/experiments")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building cmd/experiments: %v", err)
-	}
-
+	workerArgs := buildExperiments(t)
 	spec := shardSearchSpec()
 	want, err := KsetRunner{}.Run(context.Background(), spec, nil)
 	if err != nil {
@@ -241,11 +258,9 @@ func TestShardedProcessSearch(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(strconv.Itoa(shards), func(t *testing.T) {
 			got, err := RunShardedSearch(context.Background(), ShardConfig{
-				Spec:   spec,
-				Shards: shards,
-				WorkerArgs: func(coordURL string, shard int) []string {
-					return []string{bin, "-shard-worker", coordURL, "-shard-index", strconv.Itoa(shard)}
-				},
+				Spec:       spec,
+				Shards:     shards,
+				WorkerArgs: workerArgs,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -257,8 +272,33 @@ func TestShardedProcessSearch(t *testing.T) {
 	}
 }
 
+// A cancelled context reaches the worker processes as participant 0's stop
+// bit: the search comes back as a truncated verdict, and every worker
+// finishes its participant and exits zero (RunShardedSearch fails the
+// search when one does not).
+func TestShardedProcessSearchCancelled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process test skipped in -short mode")
+	}
+	workerArgs := buildExperiments(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	got, err := RunShardedSearch(ctx, ShardConfig{
+		Spec:       shardSearchSpec(),
+		Shards:     3,
+		WorkerArgs: workerArgs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cancelled before the first round, every participant stops there.
+	if got.Found || !got.Truncated || got.Visited != 0 {
+		t.Fatalf("cancelled sharded search: want a truncated verdict with nothing visited, got %+v", got)
+	}
+}
+
 // A worker whose process dies mid-protocol poisons the hub instead of
-// leaving the coordinator parked in a gather forever.
+// leaving participant 0 parked in a round forever.
 func TestShardedProcessWorkerCrashFailsSearch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process test skipped in -short mode")
@@ -267,12 +307,12 @@ func TestShardedProcessWorkerCrashFailsSearch(t *testing.T) {
 		Spec:   shardSearchSpec(),
 		Shards: 2,
 		WorkerArgs: func(coordURL string, shard int) []string {
-			// "Workers" that exit immediately with failure, never joining
-			// the exchange.
+			// A "worker" that exits immediately with failure, never joining
+			// the rounds.
 			return []string{"false"}
 		},
 	})
 	if err == nil {
-		t.Fatal("search succeeded despite both workers dying")
+		t.Fatal("search succeeded despite its worker dying")
 	}
 }

@@ -226,9 +226,17 @@ func (s *Searcher) explorer(ctx context.Context, req SearchRequest) *explore.Exp
 // ctx. A cancelled search returns the usual (witness, false, nil) shape
 // with witness.Stats.Cancelled set.
 func (s *Searcher) FindConsensusFailure(ctx context.Context, req SearchRequest) (*explore.Witness, bool, error) {
-	ex := s.explorer(ctx, req)
+	return consensusFailure(s.explorer(ctx, req))
+}
+
+// consensusFailure runs the disagreement search on ex, then the blocking
+// search unless a witness was found or the disagreement search was
+// cancelled, and returns the last search's result. A cancelled search
+// returns its own result: a blocking search started after it would stop at
+// its first poll and report nothing visited.
+func consensusFailure(ex *explore.Explorer) (*explore.Witness, bool, error) {
 	w, found, err := ex.FindDisagreement()
-	if err != nil || found {
+	if err != nil || found || w.Stats.Cancelled {
 		return w, found, err
 	}
 	return ex.FindBlocking()

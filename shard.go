@@ -8,101 +8,62 @@ import (
 	"kset/internal/explore"
 )
 
-// Sharded condition-(C) search: the FindConsensusFailure pipeline
-// partitioned across N cooperating explorers by fingerprint ownership
-// (explore.ShardOwner). The Searcher exposes the three roles:
+// Sharded condition-(C) search: FindConsensusFailure run by N participants,
+// each an explorer holding the whole search, that split every BFS chunk's
+// expansion by fingerprint ownership (explore.ShardOwner) and join it with
+// one all-gather round (see internal/explore/shard.go for the round and the
+// argument). The Searcher exposes two entry points:
 //
-//   - FindConsensusFailureSharded runs everything in-process (one
-//     coordinator plus N worker goroutines over an explore.LocalShardHub):
-//     the reference implementation the differential tests and experiment
-//     E15 compare against the plain search, and a drop-in way to shard a
-//     search without any process plumbing.
-//   - ShardCoordinate runs only the coordinator half against a caller-
-//     supplied hub, and ShardWorkerRun only one worker shard against a
-//     caller-supplied exchange handle — the split internal/service builds
-//     the multi-process `-shards N` mode from, with workers in separate
-//     OS processes talking to the coordinator's hub over localhost HTTP.
+//   - FindConsensusFailureSharded runs every participant in process over an
+//     explore.LocalShardHub: the reference the differential tests and
+//     experiment E15 compare against the plain search.
+//   - ShardParticipant runs one participant against a caller-supplied
+//     exchange: internal/service builds the multi-process `-shards N` mode
+//     from it, with participant 0 in the coordinator process and the others
+//     in worker processes talking to its hub over localhost HTTP.
 //
 // Verdicts, stats, and witnesses are bit-identical to the single-process
-// FindConsensusFailure at any shard count; see internal/explore/shard.go
-// for the protocol and the argument.
+// FindConsensusFailure at any shard count.
 
-// shardable rejects Searcher configurations the sharded engine does not
-// support (checkpoint pause/resume of a distributed search is future work).
-func (s *Searcher) shardable() error {
-	if s.opts.Checkpoint != "" {
-		return fmt.Errorf("kset: sharded search does not support Options.Checkpoint")
-	}
-	return nil
-}
-
-// ShardCoordinate runs the coordinator half of a sharded consensus-failure
-// search: the disagreement phase, then — exactly as FindConsensusFailure —
-// the blocking phase even when disagreement only truncated, returning the
-// blocking result. The hub's workers must run ShardWorkerRun for the same
-// request under an identically configured Searcher. The hub is finished
-// (or failed) before returning, so workers always terminate.
-func (s *Searcher) ShardCoordinate(ctx context.Context, req SearchRequest, hub explore.ShardHub) (*explore.Witness, bool, error) {
-	if err := s.shardable(); err != nil {
-		hub.Fail(err)
+// ShardParticipant runs participant shard of shards of a sharded
+// FindConsensusFailure over ex. Every participant must run it for the same
+// request under an identically configured Searcher; each returns
+// FindConsensusFailure's result. Only participant 0 reports progress. A
+// participant that fails should fail the exchange (explore.LocalShardHub's
+// Fail) so the others unblock. Searchers with a Checkpoint are rejected.
+func (s *Searcher) ShardParticipant(ctx context.Context, req SearchRequest, shard, shards int, ex explore.ShardExchange) (*explore.Witness, bool, error) {
+	e := s.explorer(ctx, req)
+	if err := e.Shard(shard, shards, ex); err != nil {
 		return nil, false, err
 	}
-	ex := s.explorer(ctx, req)
-	defer hub.Finish()
-	w, found, err := ex.ShardSearch("disagreement", hub)
-	if err != nil {
-		hub.Fail(err)
-		return nil, false, err
-	}
-	if found {
-		return w, true, nil
-	}
-	w, found, err = ex.ShardSearch("blocking", hub)
-	if err != nil {
-		hub.Fail(err)
-		return nil, false, err
-	}
-	return w, found, nil
+	return consensusFailure(e)
 }
 
-// ShardWorkerRun runs worker shard `shard` of `shards` for a sharded
-// consensus-failure search, driven by the coordinator's phase
-// announcements through ex. It returns when the coordinator finishes the
-// phase sequence, or with the first error (the caller should report errors
-// to the hub so the other participants unblock).
-func (s *Searcher) ShardWorkerRun(ctx context.Context, req SearchRequest, shard, shards int, ex explore.ShardExchange) error {
-	if err := s.shardable(); err != nil {
-		return err
-	}
-	return s.explorer(ctx, req).ShardWorker(shard, shards, ex)
-}
-
-// FindConsensusFailureSharded is FindConsensusFailure sharded across
-// `shards` in-process worker explorers. Results are bit-identical to the
-// plain search — same witness, same found flag, same stats — at any shard
-// count; shards == 1 exercises the full exchange protocol with a single
-// worker. Cancellation behaves as in FindConsensusFailure: the coordinator
-// polls ctx at level boundaries and the search comes back truncated with
-// Stats.Cancelled set.
+// FindConsensusFailureSharded is FindConsensusFailure run by `shards`
+// in-process participants. Results are bit-identical to the plain search —
+// same witness, same found flag, same stats — at any shard count; shards ==
+// 1 runs the kernel's fan-out with one round per chunk. Cancellation behaves
+// as in FindConsensusFailure: a cancelled ctx stops every participant at the
+// next chunk and the search comes back truncated with Stats.Cancelled set.
 func (s *Searcher) FindConsensusFailureSharded(ctx context.Context, req SearchRequest, shards int) (*explore.Witness, bool, error) {
-	if shards < 1 {
-		return nil, false, fmt.Errorf("kset: shard count %d out of range", shards)
-	}
-	if err := s.shardable(); err != nil {
-		return nil, false, err
-	}
 	hub := explore.NewLocalShardHub(shards)
+	participate := func(shard int) (*explore.Witness, bool, error) {
+		w, found, err := s.ShardParticipant(ctx, req, shard, shards, hub.Participant(shard))
+		if err != nil {
+			err = fmt.Errorf("kset: shard %d: %w", shard, err)
+			hub.Fail(err)
+		}
+		return w, found, err
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
+	for i := 1; i < shards; i++ {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			if err := s.ShardWorkerRun(ctx, req, shard, shards, hub.Exchange(shard)); err != nil {
-				hub.Fail(fmt.Errorf("kset: shard %d: %w", shard, err))
-			}
+			participate(shard)
 		}(i)
 	}
-	w, found, err := s.ShardCoordinate(ctx, req, hub)
+	w, found, err := participate(0)
 	wg.Wait()
 	return w, found, err
 }
