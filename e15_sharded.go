@@ -10,13 +10,14 @@ import (
 )
 
 // E15Params parameterizes the sharded-exploration experiment: small
-// consensus-failure searches run plain and then sharded across in-process
-// worker explorers, with every result asserted bit-identical.
+// consensus-failure searches run plain and then by in-process sharded
+// participants, with every result asserted bit-identical.
 type E15Params struct {
-	// MaxConfigs bounds the truncation row's search; BlockingMaxConfigs
-	// bounds the blocking row's (large enough to reach its witness, small
-	// enough to keep the golden gate at milliseconds — the full FLPKSet
-	// space costs seconds per sweep cell).
+	// MaxConfigs and BlockingMaxConfigs bound the two FLPKSet truncation
+	// rows, which stop mid-level in both the disagreement and the blocking
+	// phase, at two depths. FLPKSet's space is too large to reach its
+	// blocking witness at milliseconds; E15's blocking witness is the
+	// QuorumMin row's, found after an exhaustive disagreement phase.
 	MaxConfigs         int
 	BlockingMaxConfigs int
 	// Shards lists the shard counts swept per instance.
@@ -41,16 +42,17 @@ type e15Instance struct {
 }
 
 // ExperimentShardedExploration (E15) exercises the multi-process sharding
-// substrate's core invariant in-process: partitioning the fingerprint space
-// across N worker explorers (explore.ShardOwner, level-synchronous frontier
-// exchange) changes how the search is executed, never what it computes. Each
+// substrate's core invariant in process: running a search as N
+// participants that each expand the frontier positions they own
+// (explore.ShardOwner) and join every BFS chunk with one all-gather round
+// changes how the search is executed, never what it computes. Each
 // instance runs the plain FindConsensusFailure once, then
 // FindConsensusFailureSharded at every shard count; outcome, witness
 // detail, visited count, and per-level profile must match bit for bit —
-// covering a disagreement witness, a blocking witness, and a mid-level
-// truncation. The multi-process form of the same guarantee (worker
-// processes exchanging frontiers with a coordinator over localhost HTTP
-// behind `-shards N`) is exercised by the process tests in
+// covering a disagreement witness, a blocking witness, and mid-level
+// truncations at two depths. The multi-process form of the same guarantee
+// (the coordinator process and N-1 worker processes joined over localhost
+// HTTP behind `-shards N`) is exercised by the process tests in
 // internal/service and the CI sharded smoke, which diff the full verdict
 // JSON across shard counts.
 func ExperimentShardedExploration(p E15Params) (*Table, error) {
@@ -80,6 +82,15 @@ func ExperimentShardedExploration(p E15Params) (*Table, error) {
 			label: "minwait(1) n=3 budget=1",
 			req: SearchRequest{
 				Alg:         algorithms.MinWait{F: 1},
+				Inputs:      DistinctInputs(3),
+				Live:        []ProcessID{1, 2, 3},
+				CrashBudget: 1,
+			},
+		},
+		{
+			label: "quorummin n=3 budget=1",
+			req: SearchRequest{
+				Alg:         algorithms.QuorumMin{},
 				Inputs:      DistinctInputs(3),
 				Live:        []ProcessID{1, 2, 3},
 				CrashBudget: 1,
