@@ -164,7 +164,7 @@ func (e *Explorer) expandLevel(ws []*searchCtx, frontier []qent, lo, hi int, vis
 					return
 				}
 				parent := frontier[i]
-				if shard != nil && !shard.owns(e, parent) {
+				if shard != nil && ShardOwner(sc.e.key(parent.cfg, int(parent.crashes)), shard.count) != shard.index {
 					continue
 				}
 				for ai, act := range sc.actions(parent.cfg, int(parent.crashes)) {

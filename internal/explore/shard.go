@@ -110,11 +110,6 @@ func (e *Explorer) Shard(shard, shards int, ex ShardExchange) error {
 	return nil
 }
 
-// owns reports whether the participant expands parent p.
-func (r *shardRole) owns(e *Explorer, p qent) bool {
-	return ShardOwner(e.key(p.cfg, int(p.crashes)), r.count) == r.index
-}
-
 // exchange runs the round of the chunk frontier[lo:hi]: it posts this
 // participant's winners (sorted by ord) with its stop bit and returns the
 // union of every participant's winners, remote ones rebuilt on sc, in ord
@@ -160,7 +155,7 @@ func rebuild(sc *searchCtx, frontier []qent, lo, hi int, c ShardCandidate) (cand
 	rec := recFromBits(c.Bits)
 	pos := c.Ord >> ordShift
 	if pos < uint64(lo) || pos >= uint64(hi) || uint64(rec.parent) != pos {
-		return candidate{}, fmt.Errorf("candidate %#x names parent %d (record %d) outside the chunk [%d,%d)", c.Key, pos, rec.parent, lo, hi)
+		return candidate{}, fmt.Errorf("candidate %#x: order key names parent %d, record %d, chunk [%d,%d)", c.Key, pos, rec.parent, lo, hi)
 	}
 	parent := frontier[pos]
 	cfg, ok := sc.apply(parent.cfg, rec.act)

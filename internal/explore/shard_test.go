@@ -285,6 +285,38 @@ func TestShardedSearchCancelParity(t *testing.T) {
 	}
 }
 
+// TestShardedSearchRejectsForgedCandidates feeds a participant remote
+// winners that no honest participant posts: each must fail its search in
+// the round that carries it instead of entering the merge.
+func TestShardedSearchRejectsForgedCandidates(t *testing.T) {
+	d := diffInstances()[2] // minwait-n4-sub3: process 3 is crashed from the start
+	bits := func(parent int32, proc sim.ProcessID) uint64 {
+		return recBits(levelRec{parent: parent, act: action{Proc: proc, Mode: DeliverNone}})
+	}
+	for _, c := range []struct {
+		name string
+		cand ShardCandidate
+		want string
+	}{
+		{"wrong key", ShardCandidate{Key: 123, Ord: 0, Bits: bits(0, 1)}, "rebuilds to key"},
+		{"parent beyond chunk", ShardCandidate{Key: 123, Ord: 1 << ordShift, Bits: bits(1, 1)}, "order key names parent 1"},
+		{"record names another parent", ShardCandidate{Key: 123, Ord: 0, Bits: bits(1, 1)}, "record 1"},
+		{"inapplicable action", ShardCandidate{Key: 123, Ord: 0, Bits: bits(0, 3)}, "not applicable"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hub := NewLocalShardHub(2)
+			go hub.Participant(1).Exchange(0, []ShardCandidate{c.cand}, false)
+			e := d.explorerOpts(shardDiffOpts{store: StoreInMemory}, 0)
+			if err := e.Shard(0, 2, hub.Participant(0)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := e.FindDisagreement(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("want an error naming %q, got %v", c.want, err)
+			}
+		})
+	}
+}
+
 // TestShardedSearchLevelProfile pins the per-level progress stream:
 // participant 0, the only one reporting, emits the same (visited, level)
 // sequence as the single-process bounded engine — the level profile the multi-process CI
