@@ -36,7 +36,10 @@ package explore
 // The serial loop and the chunked parallel fan-out built on expandLevel of
 // parallel.go visit configurations in exactly the same order, so verdicts,
 // stats, truncation behaviour, and reconstructed witnesses are bit-identical
-// at every store and worker count (the kernel golden table pins this). The
+// at every store and worker count (the kernel golden table pins this). A
+// sharded search runs the same fan-out on every participant, each expanding
+// the parents it owns and joining the others with one round per chunk (see
+// shard.go), so it is bit-identical at every shard count as well. The
 // depth-first search at the bottom of the file keeps witnesses as immutable
 // cons-list paths hanging off the stack (dead branches are
 // garbage-collected), which bounds DFS memory by the visited-key set plus

@@ -30,7 +30,11 @@
 // steady-state search allocates almost nothing per visited configuration;
 // and the kernel expands each frontier level across Options.Workers
 // goroutines (see parallel.go) with results bit-identical to the
-// sequential order. An Explorer is NOT safe for concurrent use — run
+// sequential order. The same fan-out runs a breadth-first witness search
+// sharded: N participants, each an Explorer holding the whole search (see
+// Explorer.Shard), expand the frontier positions whose key they own and join
+// every chunk with one all-gather round (see shard.go), in process or
+// across processes. An Explorer is NOT safe for concurrent use — run
 // independent searches on independent Explorers (the experiment sweeps in
 // the root package do exactly that, one Explorer per sweep cell).
 //
