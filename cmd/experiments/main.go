@@ -1,11 +1,11 @@
 // Command experiments regenerates every experiment table of the
-// reproduction (E1-E12; see EXPERIMENTS.md for the index mapping each
+// reproduction (E1-E15; see EXPERIMENTS.md for the index mapping each
 // experiment to the paper's theorems and lemmas).
 //
 // Usage:
 //
 //	experiments                          # run the full suite
-//	experiments E1 E5                    # run selected experiments
+//	experiments E1 E5                    # run selected experiments (an unknown ID exits 2)
 //	experiments -search-workers 1 E6     # force sequential frontier search
 //	experiments -symmetry -por E6        # both search-space reductions (README, Reductions)
 //	experiments -write-golden testdata/golden E1 E2   # refresh golden tables
@@ -59,7 +59,6 @@ func run(args []string) int {
 	store := fs.String("store", "", "search memory regime: inmem (default; 8 B/state level log in memory), frontier (visited keys + two BFS levels only), or spill (level log on disk); see README, Memory & checkpoints")
 	checkpoint := fs.String("checkpoint", "", "directory for pausing truncated breadth-first searches and resuming them on the next run")
 	faults := fs.String("faults", "", "fault model of state-space search adversaries beyond crashes: model[:budget[:maxfaulty]] with model send-omission, receive-omission, or byzantine (default crash-only); see README, Fault models")
-	packed := fs.String("packed", "", "configuration engine: off (default, pointer-based) or on/auto (packed struct-of-arrays records where the algorithm supports them; bit-identical results, lower memory and time); see README, Packed engine")
 	writeGolden := fs.String("write-golden", "", "write each table to <dir>/<ID>.txt instead of stdout")
 	instance := fs.String("instance", "", "run one verification job (service.InstanceSpec JSON) instead of the experiment suite and print its verdict and level profile as JSON")
 	shards := fs.Int("shards", 1, "participants in the -instance search: this process plus shards-1 worker processes (1 = single-process; results are bit-identical at every count)")
@@ -92,7 +91,6 @@ func run(args []string) int {
 		Store:      *store,
 		Checkpoint: *checkpoint,
 		Faults:     *faults,
-		Packed:     *packed,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -100,12 +98,26 @@ func run(args []string) int {
 	}
 	kset.SweepWorkers = *sweepWorkers
 
+	experiments := kset.ExperimentsWith(search)
+	known := make(map[string]bool, len(experiments))
+	for _, e := range experiments {
+		known[e.ID] = true
+	}
 	want := make(map[string]bool, fs.NArg())
+	var unknown []string
 	for _, a := range fs.Args() {
+		if !known[a] {
+			unknown = append(unknown, a)
+		}
 		want[a] = true
 	}
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment IDs: %s (want %s-%s)\n",
+			strings.Join(unknown, " "), experiments[0].ID, experiments[len(experiments)-1].ID)
+		return 2
+	}
 	failed := 0
-	for _, e := range kset.ExperimentsWith(search) {
+	for _, e := range experiments {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}

@@ -27,7 +27,7 @@ func main() {
 
 func run() int {
 	var (
-		algName   = flag.String("alg", "minwait", "algorithm: minwait, flpkset, sigmaomega, quorummin, decideown, firstheard")
+		algName   = flag.String("alg", "minwait", "algorithm: minwait, flpkset, sigmaomega, quorummin, decideown, firstheard, roundflood, singletonquorum")
 		n         = flag.Int("n", 5, "number of processes")
 		f         = flag.Int("f", 3, "fault parameter handed to the algorithm / Theorem 2 partition")
 		k         = flag.Int("k", 2, "agreement parameter k")
@@ -42,7 +42,6 @@ func run() int {
 		store     = flag.String("store", "", "search memory regime: inmem (default; 8 B/state level log in memory), frontier (visited keys + two BFS levels only), or spill (level log on disk)")
 		ckpt      = flag.String("checkpoint", "", "directory for pausing truncated <D-bar> searches and resuming them on the next run (requires -strategy bfs)")
 		faults    = flag.String("faults", "", "fault model of the <D-bar> adversary beyond crashes: model[:budget[:maxfaulty]] with model send-omission, receive-omission, or byzantine (default crash-only)")
-		packed    = flag.String("packed", "", "configuration engine: off (default, pointer-based) or on/auto (packed struct-of-arrays records where the algorithm supports them; bit-identical verdicts, lower memory and time)")
 		verbose   = flag.Bool("v", false, "print the per-condition explanation")
 	)
 	flag.Parse()
@@ -50,8 +49,7 @@ func run() int {
 	// One Searcher value carries every search knob (and validates the store
 	// and fault spellings); both the Theorem 10 path and the generic engine
 	// path below search through it, so a knob cannot be wired into one path
-	// and silently dropped from the other — the drift the old
-	// globals-mirroring helper papered over.
+	// and silently dropped from the other.
 	search, err := kset.NewSearcher(kset.Options{
 		Workers:    *workers,
 		Symmetry:   *symmetry,
@@ -59,7 +57,6 @@ func run() int {
 		Store:      *store,
 		Checkpoint: *ckpt,
 		Faults:     *faults,
-		Packed:     *packed,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

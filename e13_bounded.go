@@ -40,11 +40,12 @@ type E13Params struct {
 // DefaultE13Params returns the instance used by cmd/experiments: n = 8,
 // whose ~766k-state reduced space is past the default search budget (the
 // truncation contrast is real), overridable to a smaller
-// system via the E13_N environment variable (6 or 7). The nightly
-// GOMEMLIMIT=1GiB gate runs E13_N=7 — measured live heap ~280 MB for the
-// bounded row, far under the cap — because at n = 8 the live BFS frontier
-// itself (two levels of ~150k concrete configurations, each carrying
-// O(n²) buffered messages) exceeds a gigabyte no matter which store mode
+// system via the E13_N environment variable (6 or 7). The searches run on
+// the packed engine. The nightly GOMEMLIMIT=1GiB gate runs E13_N=7 —
+// largest live heap ~200 MB, far under the cap, and ~3.4 s on a 2-vCPU VM
+// — because at n = 8 the live BFS frontier itself (two levels of ~150k
+// concrete configurations, each carrying O(n²) buffered messages) takes
+// the largest live heap to ~1.4 GB (~22 s) no matter which store mode
 // tracks the visited set; see the experiment notes.
 func DefaultE13Params() E13Params {
 	p := E13Params{
@@ -84,7 +85,7 @@ func DefaultE13Params() E13Params {
 // back. All rows are deterministic, and the bounded rows'
 // visited counts are the instance's exact reduced state-space size. The
 // nightly CI workflow re-runs this experiment at E13_N=7 under
-// GOMEMLIMIT=1GiB (measured live heap ~280 MB) and at full scale without
+// GOMEMLIMIT=1GiB (largest live heap ~200 MB) and at full scale without
 // the cap.
 func ExperimentBoundedExploration(p E13Params) (*Table, error) {
 	t := &Table{

@@ -104,10 +104,10 @@ func ExperimentTheorem2Border(p E1Params) (*Table, error) {
 
 // VerifyTheorem2Row runs the engine for one (n, f, k) inside the bound and
 // returns the report — the programmatic form of an E1 row, used by tests.
-// It reads the deprecated Search* globals via DefaultSearcher; new code
-// should call the Searcher method.
+// It searches with the default Options; the Searcher method takes a
+// configuration and a context.
 func VerifyTheorem2Row(n, f, k, maxConfigs int) (*core.Report, error) {
-	return DefaultSearcher().VerifyTheorem2Row(context.Background(), n, f, k, maxConfigs)
+	return orDefault(nil).VerifyTheorem2Row(context.Background(), n, f, k, maxConfigs)
 }
 
 // VerifyTheorem2Row runs the Theorem 2 engine instance for one (n, f, k)

@@ -151,10 +151,10 @@ func theorem10Row(s *Searcher, n, k, maxConfigs int) ([]string, error) {
 // leader pair for the subsystem exploration (the detector Gamma of the
 // paper's condition (C) discussion), and Lemma 12's merged run over all k
 // partitions. It returns the engine report and the merged-run report. It
-// reads the deprecated Search* globals via DefaultSearcher; new code should
-// call the Searcher method.
+// searches with the default Options; the Searcher method takes a
+// configuration and a context.
 func Theorem10Construction(n, k, maxConfigs int) (*core.Report, *core.MergedGroupsReport, error) {
-	return DefaultSearcher().Theorem10Construction(context.Background(), n, k, maxConfigs)
+	return orDefault(nil).Theorem10Construction(context.Background(), n, k, maxConfigs)
 }
 
 // Theorem10Construction runs the Theorem 10 pipeline with this Searcher's

@@ -2,6 +2,7 @@ package kset
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"kset/internal/algorithms"
@@ -118,14 +119,18 @@ func ExperimentCandidateVetting() (*Table, error) {
 
 // ExperimentRuntimeAblation cross-checks the deterministic kernel against
 // the goroutine runtime (E10): the same protocol under the same failure
-// setting must satisfy the same agreement bound on both, and all decided
-// values must be proposals.
+// setting must satisfy the same agreement bound on both, and all values
+// the goroutine runtime decides must be proposals. The table reports the
+// kernel's decision count but only the invariant for the goroutine run:
+// how many distinct values it decides depends on goroutine scheduling, so
+// a count would make the table nondeterministic.
 func ExperimentRuntimeAblation() (*Table, error) {
 	t := &Table{
 		ID:    "E10",
 		Title: "Runtime ablation: deterministic kernel vs goroutine network",
 		Columns: []string{
-			"algorithm", "n", "f (initial)", "bound", "kernel distinct", "concurrent distinct", "ok",
+			"algorithm", "n", "f (initial)", "bound", "kernel distinct",
+			"concurrent within bound", "concurrent decided proposals", "ok",
 		},
 	}
 	type c10 struct {
@@ -141,22 +146,28 @@ func ExperimentRuntimeAblation() (*Table, error) {
 		{algorithms.FLPKSet{F: 3}, 6, []ProcessID{1, 2}, 2},
 	}
 	for _, c := range cases {
-		krun, err := Simulate(c.alg, DistinctInputs(c.n), SimOptions{InitialDead: c.dead})
+		inputs := DistinctInputs(c.n)
+		krun, err := Simulate(c.alg, inputs, SimOptions{InitialDead: c.dead})
 		if err != nil {
 			return nil, fmt.Errorf("E10: kernel %s: %w", c.alg.Name(), err)
 		}
 		kd := len(krun.DistinctDecisions())
 
-		res, err := network.Run(c.alg, DistinctInputs(c.n), network.Options{
+		res, err := network.Run(c.alg, inputs, network.Options{
 			InitialDead: c.dead,
 			Timeout:     15 * time.Second,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E10: concurrent %s: %w", c.alg.Name(), err)
 		}
-		cd := len(res.DistinctDecisions())
-		ok := kd <= c.bound && cd <= c.bound && !res.TimedOut && len(krun.Blocked) == 0
-		t.AddRow(c.alg.Name(), c.n, len(c.dead), c.bound, kd, cd, ok)
+		decided := res.DistinctDecisions()
+		within := len(decided) <= c.bound
+		proposed := true
+		for _, v := range decided {
+			proposed = proposed && slices.Contains(inputs, v)
+		}
+		ok := kd <= c.bound && within && proposed && !res.TimedOut && len(krun.Blocked) == 0
+		t.AddRow(c.alg.Name(), c.n, len(c.dead), c.bound, kd, within, proposed, ok)
 	}
 	return t, nil
 }

@@ -79,7 +79,7 @@ type Experiment struct {
 	Run   func() (*Table, error)
 }
 
-// Experiments returns the full suite E1-E12 with default parameters, in
+// Experiments returns the full suite E1-E15 with default parameters, in
 // order. cmd/experiments prints them all; the root benchmarks time them.
 // Sweep-shaped experiments (E1, E5, E12) evaluate their independent cells on
 // a worker pool sized by SweepWorkers while emitting rows in deterministic
@@ -91,9 +91,8 @@ func Experiments() []Experiment {
 
 // ExperimentsWith is Experiments with an explicit search configuration for
 // the search-driven experiments (E1, E5, E6, E13, E14, E15); nil means
-// default options (never the deprecated Search* globals — pass
-// DefaultSearcher() explicitly to honour those). Experiments that run no
-// condition-(C) search are unaffected by the Searcher.
+// default options. Experiments that run no condition-(C) search are
+// unaffected by the Searcher.
 func ExperimentsWith(s *Searcher) []Experiment {
 	return []Experiment{
 		{"E1", "Theorem 2: impossibility border k <= (n-1)/(n-f)", func() (*Table, error) {

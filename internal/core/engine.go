@@ -110,14 +110,6 @@ type Instance struct {
 	// are bit-identical in every mode (see explore.Options.Store).
 	SearchStore string
 
-	// SearchPacked selects the configuration engine of the condition-(C)
-	// exploration in explore.ParsePacked form: "" or "off" for the pointer
-	// engine, "on"/"auto" for the packed struct-of-arrays engine with
-	// silent fallback where unsupported (explore.Options.Packed). Like
-	// SearchWorkers and SearchStore it is excluded from InstanceDigest —
-	// verdicts are bit-identical across engines.
-	SearchPacked string
-
 	// Checkpoint, when non-empty, names a directory in which truncated
 	// breadth-first condition-(C) searches persist their paused state and
 	// from which a later run of the same instance resumes; requires
@@ -385,10 +377,6 @@ func subsystemExplorer(inst Instance) (*explore.Explorer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	packed, err := explore.ParsePacked(inst.SearchPacked)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	return explore.New(restricted, inst.Inputs, explore.Options{
 		Live:            dbar,
 		MaxCrashes:      inst.DBarCrashBudget,
@@ -400,7 +388,6 @@ func subsystemExplorer(inst Instance) (*explore.Explorer, error) {
 		Symmetry:        inst.Symmetry,
 		POR:             inst.POR,
 		Store:           store,
-		Packed:          packed,
 		Checkpoint:      inst.Checkpoint,
 		Context:         inst.Ctx,
 		OnProgress:      inst.OnSearchProgress,
@@ -413,8 +400,8 @@ func subsystemExplorer(inst Instance) (*explore.Explorer, error) {
 // It folds together the explorer's per-goal search digests (algorithm,
 // inputs, live set, crash budget, reductions, fault model — see
 // explore.(*Explorer).Digest) with the partition shape and the
-// verdict-relevant bounds. SearchWorkers, SearchStore, and SearchPacked are
-// deliberately excluded: results are bit-identical across them. MaxConfigs and the
+// verdict-relevant bounds. SearchWorkers and SearchStore are deliberately
+// excluded: results are bit-identical across them. MaxConfigs and the
 // strategy are included: a truncated or differently-ordered search can
 // produce a different (inconclusive vs refuted) verdict.
 func InstanceDigest(inst Instance) (uint64, error) {

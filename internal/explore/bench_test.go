@@ -194,12 +194,11 @@ func BenchmarkPackedExpansion(b *testing.B) {
 		b.ReportAllocs()
 		visited := 0
 		for i := 0; i < b.N; i++ {
-			e := New(algorithms.MinWait{F: 1}, inputs, Options{
+			e := onEngine(New(algorithms.MinWait{F: 1}, inputs, Options{
 				Live:       live,
 				MaxCrashes: 1,
 				Workers:    1,
-				Packed:     packed,
-			})
+			}), packed)
 			w, found, err := e.FindDisagreement()
 			if err != nil || found || w.Stats.Truncated {
 				b.Fatalf("found=%t truncated=%t err=%v", found, w.Stats.Truncated, err)

@@ -97,21 +97,6 @@ func ParseStore(s string) (Store, error) {
 	}
 }
 
-// ParsePacked parses the CLI spelling of the packed-engine knob: "" or
-// "off" keeps the pointer engine, "on" (or "auto") selects the packed
-// struct-of-arrays engine where the algorithm/system pair supports it,
-// falling back silently otherwise (see Options.Packed).
-func ParsePacked(s string) (bool, error) {
-	switch s {
-	case "", "off":
-		return false, nil
-	case "on", "auto":
-		return true, nil
-	default:
-		return false, fmt.Errorf("explore: unknown packed mode %q (want off, on, or auto)", s)
-	}
-}
-
 // levelRec is one generation record of a bounded search: frontier entry
 // number pos of level l+1 was produced by applying act to entry parent of
 // level l. Level logs are sequences of these, in frontier order.

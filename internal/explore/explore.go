@@ -226,20 +226,6 @@ type Options struct {
 	// search, from the goroutine driving it, at the moment durability
 	// degrades; Stats.SnapshotFailed records the same fact at completion.
 	OnSnapshotError func(error)
-	// Packed selects the struct-of-arrays configuration engine: process
-	// records live in flat uint64 slices and buffered messages in a flat
-	// pool (see sim.Packer), so cloning a configuration is a handful of
-	// memcpys instead of per-process allocations. Like Workers and Store it
-	// is a memory/speed regime, not a search parameter: visited sets,
-	// insertion order, tie-breaks, truncation points, witnesses, and stats
-	// are bit-identical to the pointer engine (the packed differential
-	// tests and FuzzPackedParity pin this), and it is deliberately excluded
-	// from the search digest so checkpoints and cached verdicts interoperate
-	// across the two engines. The knob stands down silently — exactly like
-	// POR under an oracle — when the algorithm does not implement
-	// sim.PackableAlgorithm or the system exceeds 64 processes. Default
-	// off.
-	Packed bool
 	// Workers caps the number of goroutines expanding the BFS frontier.
 	// Zero means GOMAXPROCS; 1 runs the kernel's serial loop, which expands
 	// one parent at a time. Any value above 1 runs its chunked fan-out (see
@@ -279,8 +265,18 @@ type Explorer struct {
 	// content — so both the commutation pruning and the crashed-slot key
 	// normalization stand down when one is configured).
 	por bool
-	// packed reports that the packed engine is active: Options.Packed was
-	// set and the algorithm/system pair supports it (sim.PackerFor).
+	// packed reports that searches run on the packed struct-of-arrays
+	// configuration engine: process records live in flat uint64 slices and
+	// buffered messages in a flat pool (see sim.Packer), so cloning a
+	// configuration is a handful of memcpys instead of per-process
+	// allocations. New sets it wherever sim.PackerFor accepts the
+	// algorithm/system pair; the rest (algorithms without a packer, more
+	// than 64 processes) and witness replay run on the pointer engine.
+	// Results are bit-identical on both engines, so it is no search
+	// parameter and stays out of the search digest. It is also a test seam:
+	// tests clear it to run the pointer engine, against which the golden
+	// matrix, TestPackedConfigurationLockstep and FuzzPackedParity compare
+	// the packed one.
 	packed bool
 	// sc is the explorer's own search context, used by the serial loops and
 	// by the critical-step driver.
@@ -358,12 +354,7 @@ func New(alg sim.Algorithm, inputs []sim.Value, opts Options) *Explorer {
 	// quotient would erase spent budgets of crashed processes.
 	e.por = opts.POR && opts.Oracle == nil && hasMode(opts.Modes, DeliverAll) &&
 		opts.Faults.Model == sim.FaultCrash
-	// Packed stands down silently when the algorithm/system pair has no
-	// packer; the verdict contract makes the fallback unobservable.
-	if opts.Packed {
-		_, _, ok := sim.PackerFor(alg, e.inputs)
-		e.packed = ok
-	}
+	_, _, e.packed = sim.PackerFor(alg, e.inputs)
 	e.sc.e = e
 	return e
 }
@@ -387,8 +378,8 @@ func (e *Explorer) searchWorkers() int {
 }
 
 // initial builds the starting configuration — on the packed engine when
-// the explorer resolved Options.Packed — with everyone outside Live
-// silently crashed (initially dead).
+// the explorer resolved it — with everyone outside Live silently crashed
+// (initially dead).
 func (e *Explorer) initial() (*sim.Configuration, error) {
 	var cfg *sim.Configuration
 	if e.packed {
@@ -419,10 +410,10 @@ func (e *Explorer) initial() (*sim.Configuration, error) {
 	return cfg, nil
 }
 
-// initialView builds the starting configuration on the pointer engine
-// regardless of Options.Packed. Witness replay uses it: a replayed Run
-// escapes to callers who inspect states, apply further steps, and expect
-// the materialized event trail that the packed engine elides.
+// initialView builds the starting configuration on the pointer engine,
+// whichever engine the searches run on. Witness replay uses it: a replayed
+// Run escapes to callers who inspect states, apply further steps, and
+// expect the materialized event trail that the packed engine elides.
 func (e *Explorer) initialView() (*sim.Configuration, error) {
 	packed := e.packed
 	e.packed = false

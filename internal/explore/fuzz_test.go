@@ -270,7 +270,7 @@ func FuzzPackedParity(f *testing.F) {
 		symmetry := modePick&1 != 0
 		por := modePick&2 != 0
 		build := func(packed bool) *Explorer {
-			return New(sim.Restrict(d.alg, d.live), d.inputs, Options{
+			return onEngine(New(sim.Restrict(d.alg, d.live), d.inputs, Options{
 				Live:       d.live,
 				MaxCrashes: d.crashes,
 				MaxConfigs: 12000,
@@ -278,8 +278,7 @@ func FuzzPackedParity(f *testing.F) {
 				Symmetry:   symmetry,
 				POR:        por,
 				Faults:     faults,
-				Packed:     packed,
-			})
+			}), packed)
 		}
 		goals := []struct {
 			name string

@@ -107,7 +107,6 @@ func (r goldenRow) explorer(c goldenConfig) *Explorer {
 		POR:        r.por,
 		Faults:     r.faults,
 		Store:      c.store,
-		Packed:     c.packed,
 	}
 	if r.search == "dfs" {
 		opts.Strategy = "dfs"
@@ -115,7 +114,7 @@ func (r goldenRow) explorer(c goldenConfig) *Explorer {
 	if r.oracle {
 		opts.Oracle = stubOracle{}
 	}
-	return New(sim.Restrict(r.inst.alg, r.inst.live), r.inst.inputs, opts)
+	return onEngine(New(sim.Restrict(r.inst.alg, r.inst.live), r.inst.inputs, opts), c.packed)
 }
 
 func goalByName(kind string) goalFunc {

@@ -1,16 +1,17 @@
 package explore
 
-// Differential gate for the packed struct-of-arrays configuration engine
-// (Options.Packed): for every instance shape the repository's searches care
-// about — symmetry × POR × fault models — the packed engine must reproduce
-// the pointer engine BIT FOR BIT: the same configurations, keys, and action
-// enumerations step by step (TestPackedConfigurationLockstep), and the same
-// found flags, witnesses, stats, visited sets, and truncation points at
-// every store and worker count (TestPackedSearchMatrix runs these cells on
-// both engines against the kernel golden table). Together with
-// FuzzPackedParity this is the proof obligation that lets Options.Packed be
-// a pure memory/speed regime, excluded from search digests and safe to flip
-// on any cached or checkpointed search.
+// Differential gate for the packed struct-of-arrays configuration engine,
+// which New selects wherever the algorithm has a packer: for every instance
+// shape the repository's searches care about — symmetry × POR × fault
+// models — the packed engine must reproduce the pointer engine BIT FOR BIT:
+// the same configurations, keys, and action enumerations step by step
+// (TestPackedConfigurationLockstep), and the same found flags, witnesses,
+// stats, visited sets, and truncation points at every store and worker
+// count (TestPackedSearchMatrix runs these cells on both engines against
+// the kernel golden table). Together with FuzzPackedParity this is the
+// proof obligation that lets the engine be chosen per algorithm, with no
+// knob, excluded from search digests, and shared by cached and
+// checkpointed searches.
 
 import (
 	"fmt"
@@ -26,6 +27,14 @@ type packedDiffCell struct {
 	symmetry bool
 	por      bool
 	faults   FaultAdversary
+}
+
+// onEngine returns e on the chosen configuration engine: packed keeps the
+// engine New resolved, !packed forces the pointer engine through the test
+// seam.
+func onEngine(e *Explorer, packed bool) *Explorer {
+	e.packed = e.packed && packed
+	return e
 }
 
 // explorer builds the cell's serial explorer on the chosen engine.
@@ -74,23 +83,43 @@ func (c packedDiffCell) name() string {
 	return s
 }
 
-// TestPackedEngineStandsDown pins the silent-fallback contract: Packed on
-// an unpackable pair (an algorithm without NewPacker) searches on the
-// pointer engine and still reaches the pointer verdict.
+// TestPackedEngineStandsDown pins New's engine choice: with zero Options
+// the five algorithms that have a packer search on the packed engine, and
+// the rest — algorithms without one, systems beyond 64 processes, and any
+// explorer the test seam puts on the pointer engine — on the pointer
+// engine, from the initial configuration on.
 func TestPackedEngineStandsDown(t *testing.T) {
-	d := diffInstances()[0]
-	e := New(sim.Restrict(unpackable{d.alg}, d.live), d.inputs, Options{
-		Live: d.live, Workers: 1, Packed: true,
-	})
-	if e.packed {
-		t.Fatal("explorer claims packed for an unpackable algorithm")
-	}
-	cfg, err := e.initial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Packed() {
-		t.Fatal("initial configuration is packed for an unpackable algorithm")
+	inputs := []sim.Value{0, 1, 2}
+	wide := make([]sim.Value, 65)
+	for _, c := range []struct {
+		name   string
+		e      *Explorer
+		packed bool
+	}{
+		{"minwait", New(algorithms.MinWait{F: 1}, inputs, Options{}), true},
+		{"quorummin", New(algorithms.QuorumMin{}, inputs, Options{}), true},
+		{"firstheard", New(algorithms.FirstHeard{}, inputs, Options{}), true},
+		{"decideown", New(algorithms.DecideOwn{}, inputs, Options{}), true},
+		{"flpkset", New(algorithms.FLPKSet{F: 1}, inputs, Options{}), true},
+		{"sigmaomega", New(algorithms.SigmaOmega{}, inputs, Options{}), false},
+		{"roundflood", New(algorithms.RoundFlood{F: 1}, inputs, Options{}), false},
+		{"singletonquorum", New(algorithms.SingletonQuorum{}, inputs, Options{}), false},
+		{"unpackable", New(unpackable{algorithms.MinWait{F: 1}}, inputs, Options{}), false},
+		{"minwait-n65", New(algorithms.MinWait{F: 1}, wide, Options{}), false},
+		{"minwait-seam", onEngine(New(algorithms.MinWait{F: 1}, inputs, Options{}), false), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.e.packed != c.packed {
+				t.Fatalf("explorer resolved packed=%t, want %t", c.e.packed, c.packed)
+			}
+			cfg, err := c.e.initial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Packed() != c.packed {
+				t.Fatalf("initial configuration packed=%t, want %t", cfg.Packed(), c.packed)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -193,6 +194,46 @@ func TestDifferentialServerVsLibrary(t *testing.T) {
 					t.Errorf("%s: search witness disagrees: server (%s %q), library (%s %q)",
 						name, sv.WitnessKind, sv.WitnessDetail, w.Kind, w.Detail)
 				}
+			}
+		}
+	}
+}
+
+// TestIgnoredPackedSpecField pins the ignored "packed" spec field: a spec
+// carrying "packed":"on" or "off" is accepted over HTTP, and it has the
+// digest and the verdict of the same spec without the field, for both
+// goals.
+func TestIgnoredPackedSpecField(t *testing.T) {
+	_, ts := newTestServer(t, Config{Runner: KsetRunner{}, Cache: NewMemoryCache()})
+	search := e2eSpec()
+	search.Goal, search.K, search.MaxConfigs = GoalSearch, 0, 20000
+	for _, bare := range []InstanceSpec{e2eSpec(), search} {
+		want := submitAndWait(t, ts, bare)
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bareJSON, err := json.Marshal(bare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, packed := range []string{"on", "off"} {
+			spec := bare
+			spec.Packed = packed
+			if d, err := (KsetRunner{}).Digest(spec); err != nil || d != want.Digest {
+				t.Fatalf("%s packed=%s: digest %s (err %v), want %s", bare.Goal, packed, d, err, want.Digest)
+			}
+			v, err := KsetRunner{}.Run(context.Background(), spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := json.Marshal(v); err != nil || !bytes.Equal(got, wantJSON) {
+				t.Fatalf("%s packed=%s: verdict %s (err %v), want %s", bare.Goal, packed, got, err, wantJSON)
+			}
+			body := strings.TrimSuffix(string(bareJSON), "}") + `,"packed":"` + packed + `"}`
+			code, sub := postJob(t, ts, body)
+			if code != 200 || !sub.Cached || sub.Verdict == nil || sub.Verdict.Digest != want.Digest {
+				t.Fatalf("%s packed=%s: HTTP %d %+v, want a cache hit on %s", bare.Goal, packed, code, sub, want.Digest)
 			}
 		}
 	}

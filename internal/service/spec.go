@@ -1,9 +1,9 @@
 // Package service implements the verification-as-a-service layer behind
 // cmd/ksetd: an HTTP/JSON job server that accepts impossibility-check and
 // consensus-failure-search jobs, runs them on a bounded worker pool through
-// the globals-free kset.Searcher API with per-job context cancellation, and
-// caches completed verdicts content-addressed by the instance digest — a
-// repeat query for the same instance is a cache hit, not a re-search.
+// the kset.Searcher API with per-job context cancellation, and caches
+// completed verdicts content-addressed by the instance digest — a repeat
+// query for the same instance is a cache hit, not a re-search.
 package service
 
 import (
@@ -25,9 +25,9 @@ const (
 // InstanceSpec is the wire form of a verification job: everything that
 // determines the verdict, in the CLI spellings of cmd/impossibility. The
 // digest of a spec — and therefore the verdict-cache key — covers exactly
-// the fields that can change the result: Workers, Store, and Packed are
-// excluded (results are bit-identical across them), everything else is
-// included.
+// the fields that can change the result: Workers and Store are excluded
+// (results are bit-identical across them), everything else but the ignored
+// Packed is included.
 type InstanceSpec struct {
 	// Alg names the algorithm under test (kset.NewAlgorithm spelling).
 	Alg string `json:"alg"`
@@ -61,9 +61,12 @@ type InstanceSpec struct {
 	// Store selects the memory regime: "" or "inmem", "frontier", or
 	// "spill". Not part of the digest.
 	Store string `json:"store,omitempty"`
-	// Packed selects the configuration engine: "" or "off", "on"/"auto"
-	// (explore.ParsePacked spelling, silent fallback where unsupported).
-	// Not part of the digest: verdicts are bit-identical across engines.
+	// Packed is ignored. It selected the configuration engine, which is now
+	// chosen per algorithm (the packed engine wherever one exists, with
+	// bit-identical results); it stays decodable so that specs carrying it
+	// are not rejected as unknown fields.
+	//
+	// Deprecated: omit it; any value is accepted and ignored.
 	Packed string `json:"packed,omitempty"`
 	// Faults selects the fault adversary (explore.ParseFaults spelling).
 	Faults string `json:"faults,omitempty"`
@@ -119,7 +122,7 @@ func (sp InstanceSpec) validate() error {
 	if sp.MaxConfigs < 1 {
 		return fmt.Errorf("service: max_configs = %d < 1", sp.MaxConfigs)
 	}
-	if err := (kset.Options{Store: sp.Store, Faults: sp.Faults, Packed: sp.Packed}).Validate(); err != nil {
+	if err := (kset.Options{Store: sp.Store, Faults: sp.Faults}).Validate(); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	if sp.Checkpoint && sp.Goal == GoalImpossibility && sp.Strategy != "bfs" {
@@ -138,7 +141,6 @@ func (sp InstanceSpec) options(checkpointDir string) kset.Options {
 		POR:      sp.POR,
 		Store:    sp.Store,
 		Faults:   sp.Faults,
-		Packed:   sp.Packed,
 	}
 	if sp.Checkpoint {
 		o.Checkpoint = checkpointDir

@@ -1,8 +1,11 @@
 package kset
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"kset/internal/explore"
 )
 
 func TestDistinctInputs(t *testing.T) {
@@ -69,11 +72,43 @@ func TestSimulateRejectsBadDetector(t *testing.T) {
 	}
 }
 
-func TestFindConsensusFailureFacade(t *testing.T) {
-	w, found, err := FindConsensusFailure(NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
+// findFailure runs Searcher.FindConsensusFailure with options o over the
+// live subsystem, failing the test on invalid options or a search error.
+func findFailure(t *testing.T, o Options, alg Algorithm, inputs []Value, live []ProcessID, crashBudget, maxConfigs int) (*explore.Witness, bool) {
+	t.Helper()
+	s, err := NewSearcher(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w, found, err := s.FindConsensusFailure(context.Background(), SearchRequest{
+		Alg:         alg,
+		Inputs:      inputs,
+		Live:        live,
+		CrashBudget: crashBudget,
+		MaxConfigs:  maxConfigs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, found
+}
+
+// bivalenceTable renders the E6 table with options o.
+func bivalenceTable(t *testing.T, o Options) string {
+	t.Helper()
+	s, err := NewSearcher(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := ExperimentBivalenceWith(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab.String()
+}
+
+func TestFindConsensusFailureFacade(t *testing.T) {
+	w, found := findFailure(t, Options{}, NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
 	if !found {
 		t.Fatal("MinWait{F:1} disagreement not found in 3-process system")
 	}

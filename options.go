@@ -1,13 +1,10 @@
 package kset
 
-// This file is the globals-free search API of the facade: a first-class
-// Options value plus an immutable Searcher built from it, threaded with
-// context.Context cancellation down into internal/explore. It replaces the
-// mutable Search* package globals of kset.go for all new code — concurrent
-// searches configured through globals are a data race by construction,
-// which is exactly what a long-running job server (cmd/ksetd) cannot have.
-// The globals remain as deprecated shims feeding DefaultSearcher, so
-// existing callers and tests keep their behaviour bit for bit.
+// This file is the search API of the facade: a first-class Options value
+// plus an immutable Searcher built from it, threaded with context.Context
+// cancellation down into internal/explore. Every search is configured
+// through a Searcher, so concurrent searches with different knobs — which a
+// long-running job server (cmd/ksetd) runs — never share mutable state.
 
 import (
 	"context"
@@ -17,45 +14,56 @@ import (
 	"kset/internal/sim"
 )
 
-// Options bundles the facade's search knobs in CLI spelling — one immutable
-// value instead of the six deprecated Search* globals. The zero value is
-// the default configuration (GOMAXPROCS workers, no reductions, in-memory
-// store, no checkpointing, crash-only faults) and is always valid.
+// Options bundles the facade's search knobs in CLI spelling. The zero value
+// is the default configuration (GOMAXPROCS workers, no reductions,
+// in-memory store, no checkpointing, crash-only faults) and is always
+// valid. There is no engine knob: searches run on the packed
+// struct-of-arrays configuration engine wherever the algorithm has a
+// packer and on the pointer engine elsewhere, with bit-identical results
+// (see README, Packed engine).
 type Options struct {
 	// Workers caps the goroutines expanding the frontier of each
 	// breadth-first condition-(C) search (0 = GOMAXPROCS, 1 = the serial
-	// loop). Results are bit-identical at every worker count; see the
-	// SearchWorkers global for the full discussion.
+	// loop). Results — visited set, witness, stats — are bit-identical at
+	// every worker count, so it is purely a performance control.
 	Workers int
-	// Symmetry enables orbit-canonical revisit detection (SearchSymmetry).
+	// Symmetry enables orbit-canonical revisit detection: configurations
+	// that are process-renamings of each other, under permutations
+	// preserving the proposal assignment and the live set, are explored
+	// once, while every reported witness stays a concrete, replayable run.
+	// Pairwise distinct proposals (the Theorem 1 requirement) leave nothing
+	// to collapse; uniform- and block-input searches shrink substantially.
+	// A sound no-op for algorithms that are not renaming-equivariant, such
+	// as FLPKSet (see explore.Options.Symmetry).
 	Symmetry bool
-	// POR enables commutativity-based partial-order reduction (SearchPOR).
+	// POR enables commutativity-based partial-order reduction: once every
+	// live process has finished sending (sim.SendQuiescent), each expansion
+	// keeps one delivering process instead of all interleavings, and
+	// revisit detection collapses inert crashed-slot content. Verdicts and
+	// witnesses' replayability are those of the unreduced search; only the
+	// visited count shrinks. It composes with Symmetry and stands down
+	// under oracles and non-crash fault models (see explore.Options.POR).
 	POR bool
-	// Store selects the memory regime: "" or "inmem", "frontier", or
-	// "spill" (SearchStore).
+	// Store selects the memory regime: "" or "inmem" (8-byte level records
+	// in memory), "frontier" (the compact visited-key set plus two BFS
+	// levels; witnesses reconstruct by bounded re-search), or "spill" (the
+	// level records stream to a temporary file). Results are bit-identical
+	// across stores (see explore.Options.Store and README, Memory &
+	// checkpoints).
 	Store string
 	// Checkpoint names the directory truncated breadth-first searches pause
-	// into, empty for none (SearchCheckpoint).
+	// into, empty for none: a later identical search resumes where the
+	// paused one stopped (see explore.Options.Checkpoint).
 	Checkpoint string
 	// Faults selects the condition-(C) fault adversary in
 	// explore.ParseFaults spelling: "" or "crash", or
-	// "model[:budget[:maxfaulty]]" (SearchFaults).
+	// "model[:budget[:maxfaulty]]" with model send-omission,
+	// receive-omission, or byzantine. Witnesses remain concrete replayable
+	// runs whose fault steps re-execute exactly.
 	Faults string
-	// Packed selects the configuration engine of the condition-(C)
-	// searches: "" or "off" for the pointer engine, "on" (or "auto") for
-	// the packed struct-of-arrays engine, which clones configurations with
-	// flat memcpys instead of per-process allocations and falls back
-	// silently where an algorithm/system pair has no packed encoding (see
-	// explore.Options.Packed). Like Workers and Store it never changes a
-	// verdict, witness, or visited set, and it is excluded from digests —
-	// cached verdicts and checkpoints interoperate across both engines.
-	// There is no corresponding legacy global: the knob postdates the
-	// migration to Options.
-	Packed string
 }
 
-// Validate reports whether the options' string spellings parse. It is the
-// value-type replacement for ApplySearchConfig's validation half.
+// Validate reports whether the options' string spellings parse.
 func (o Options) Validate() error {
 	if _, err := explore.ParseStore(o.Store); err != nil {
 		return err
@@ -63,22 +71,17 @@ func (o Options) Validate() error {
 	if _, err := explore.ParseFaults(o.Faults); err != nil {
 		return err
 	}
-	if _, err := explore.ParsePacked(o.Packed); err != nil {
-		return err
-	}
 	return nil
 }
 
 // Searcher is an immutable, goroutine-safe handle on a validated Options
 // value: every condition-(C) search it spawns uses exactly these knobs, so
-// concurrent searches with different configurations are isolated — the
-// property the mutable Search* globals could not provide. Construct with
-// NewSearcher; DefaultSearcher derives one from the deprecated globals.
+// concurrent searches with different configurations are isolated.
+// Construct with NewSearcher.
 type Searcher struct {
 	opts   Options
 	store  explore.Store
 	faults explore.FaultAdversary
-	packed bool
 }
 
 // NewSearcher validates o and returns a Searcher bound to it.
@@ -91,44 +94,15 @@ func NewSearcher(o Options) (*Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	packed, err := explore.ParsePacked(o.Packed)
-	if err != nil {
-		return nil, err
-	}
-	return &Searcher{opts: o, store: store, faults: faults, packed: packed}, nil
-}
-
-// DefaultSearcher returns a Searcher snapshotting the current values of the
-// deprecated Search* globals — the bridge that keeps global-configured
-// callers (and the package-level helpers) working during the migration. It
-// panics on unparsable globals, matching the legacy helpers' semantics: the
-// globals are set programmatically or by already-validated CLI flags, so an
-// invalid value is a programming error. New code should construct Options
-// directly and use NewSearcher.
-func DefaultSearcher() *Searcher {
-	s, err := NewSearcher(Options{
-		Workers:    SearchWorkers,
-		Symmetry:   SearchSymmetry,
-		POR:        SearchPOR,
-		Store:      SearchStore,
-		Checkpoint: SearchCheckpoint,
-		Faults:     SearchFaults,
-	})
-	if err != nil {
-		panic("kset: invalid Search* globals: " + err.Error())
-	}
-	return s
+	return &Searcher{opts: o, store: store, faults: faults}, nil
 }
 
 // Options returns the validated options the Searcher was built from.
 func (s *Searcher) Options() Options { return s.opts }
 
 // orDefault resolves a possibly-nil Searcher to the zero-options default:
-// the convention of the experiment parameter structs, whose zero value now
-// means "default knobs" rather than "whatever the deprecated Search*
-// globals currently hold". Callers who want global-driven configuration
-// must pass DefaultSearcher() explicitly — nothing in this repository does
-// anymore (the Search*-reference lint step in CI keeps it that way).
+// the convention of the experiment parameter structs, whose zero value
+// means "default knobs".
 func orDefault(s *Searcher) *Searcher {
 	if s != nil {
 		return s
@@ -149,7 +123,6 @@ func (s *Searcher) instance(ctx context.Context, inst ImpossibilityInstance) Imp
 	inst.SearchStore = s.opts.Store
 	inst.Checkpoint = s.opts.Checkpoint
 	inst.Faults = s.opts.Faults
-	inst.SearchPacked = s.opts.Packed
 	inst.Ctx = ctx
 	return inst
 }
@@ -212,7 +185,6 @@ func (s *Searcher) explorer(ctx context.Context, req SearchRequest) *explore.Exp
 		POR:             s.opts.POR,
 		Faults:          s.faults,
 		Store:           s.store,
-		Packed:          s.packed,
 		Checkpoint:      s.opts.Checkpoint,
 		Context:         ctx,
 		OnProgress:      req.OnProgress,

@@ -7,42 +7,27 @@ import (
 	"kset/internal/testutil"
 )
 
-// TestSearchFaultsFacadeParity proves the SearchFaults knob behaves on the
-// public facade exactly as the substrate promises: the empty string and the
+// TestSearchFaultsFacadeParity proves Options.Faults behaves on the public
+// facade exactly as the substrate promises: the empty string and the
 // explicit "crash" spelling drive bit-identical searches (stats and
 // verdict), and arming a fault model only strengthens the adversary — a
 // crash-only witness stays findable, and its replayed run carries the
 // armed model's fault events when the adversary uses them.
 func TestSearchFaultsFacadeParity(t *testing.T) {
-	defer func(s string) { SearchFaults = s }(SearchFaults)
-
 	inputs := DistinctInputs(3)
 	live := []ProcessID{1, 2, 3}
 
-	SearchFaults = ""
-	plainW, plainFound, err := FindConsensusFailure(NewMinWait(1), inputs, live, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	SearchFaults = "crash"
-	crashW, crashFound, err := FindConsensusFailure(NewMinWait(1), inputs, live, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plainW, plainFound := findFailure(t, Options{}, NewMinWait(1), inputs, live, 1, 0)
+	crashW, crashFound := findFailure(t, Options{Faults: "crash"}, NewMinWait(1), inputs, live, 1, 0)
 	if crashFound != plainFound || crashW.Stats != plainW.Stats {
-		t.Fatalf("SearchFaults=crash diverged from empty: %+v/%t vs %+v/%t",
+		t.Fatalf("Faults=crash diverged from empty: %+v/%t vs %+v/%t",
 			crashW.Stats, crashFound, plainW.Stats, plainFound)
 	}
 
 	for _, spec := range []string{"send-omission:1:1", "receive-omission:1:1", "byzantine:1:1"} {
-		SearchFaults = spec
-		w, found, err := FindConsensusFailure(NewMinWait(1), inputs, live, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w, found := findFailure(t, Options{Faults: spec}, NewMinWait(1), inputs, live, 1, 0)
 		if found != plainFound {
-			t.Fatalf("SearchFaults=%s flipped the verdict: found=%t, crash-only %t", spec, found, plainFound)
+			t.Fatalf("Faults=%s flipped the verdict: found=%t, crash-only %t", spec, found, plainFound)
 		}
 		if found {
 			testutil.RevalidateWitness(t, w.Kind, w.Run)
@@ -50,34 +35,32 @@ func TestSearchFaultsFacadeParity(t *testing.T) {
 	}
 }
 
-// TestApplySearchConfigFaults pins the shared flag-mirroring helper's fault
-// handling: a valid spec lands in SearchFaults, an invalid one is rejected
-// before any global mutates.
+// TestApplySearchConfigFaults pins the fault handling of search
+// configuration (the name is that of the flag-mirroring helper NewSearcher
+// replaced): a valid spec reaches the Searcher's Options together with the
+// other knobs, and an invalid one is rejected by NewSearcher and
+// Options.Validate alike, naming the bad model.
 func TestApplySearchConfigFaults(t *testing.T) {
-	defer func(w int, sym, por bool, st, ck, f string) {
-		SearchWorkers, SearchSymmetry, SearchPOR, SearchStore, SearchCheckpoint, SearchFaults = w, sym, por, st, ck, f
-	}(SearchWorkers, SearchSymmetry, SearchPOR, SearchStore, SearchCheckpoint, SearchFaults)
-
-	if err := ApplySearchConfig(SearchConfig{Workers: 2, Faults: "send-omission:2:1", Store: "frontier"}); err != nil {
+	want := Options{Workers: 2, Faults: "send-omission:2:1", Store: "frontier"}
+	s, err := NewSearcher(want)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if SearchFaults != "send-omission:2:1" || SearchWorkers != 2 || SearchStore != "frontier" {
-		t.Fatalf("config not mirrored: faults=%q workers=%d store=%q", SearchFaults, SearchWorkers, SearchStore)
+	if got := s.Options(); got != want {
+		t.Fatalf("config not kept: got %+v, want %+v", got, want)
 	}
 
-	before := SearchFaults
-	err := ApplySearchConfig(SearchConfig{Faults: "meteor"})
-	if err == nil {
-		t.Fatal("ApplySearchConfig accepted an unknown fault model")
-	}
-	if !strings.Contains(err.Error(), "meteor") {
-		t.Fatalf("error %q does not name the bad model", err)
-	}
-	if SearchFaults != before {
-		t.Fatalf("failed ApplySearchConfig mutated SearchFaults to %q", SearchFaults)
-	}
-
-	if err := ApplySearchConfig(SearchConfig{Faults: "crash:1"}); err == nil {
-		t.Fatal("ApplySearchConfig accepted a budgeted crash model")
+	for _, bad := range []string{"meteor", "crash:1"} {
+		o := Options{Faults: bad}
+		if _, err := NewSearcher(o); err == nil {
+			t.Fatalf("NewSearcher accepted fault model %q", bad)
+		}
+		err := o.Validate()
+		if err == nil {
+			t.Fatalf("Validate accepted fault model %q", bad)
+		}
+		if bad == "meteor" && !strings.Contains(err.Error(), "meteor") {
+			t.Fatalf("error %q does not name the bad model", err)
+		}
 	}
 }

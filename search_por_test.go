@@ -1,20 +1,18 @@
 package kset
 
 import (
+	"context"
 	"testing"
 
 	"kset/internal/testutil"
 )
 
-// TestSearchPORFacadeParity proves the SearchPOR knob is purely a
-// performance control on the public facade: the condition-(C) search
-// reaches the same verdict with and without partial-order reduction,
-// visiting at most as many configurations, and on the uniform-input
-// instance strictly (at least 2x) fewer — alone and stacked on
-// SearchSymmetry.
+// TestSearchPORFacadeParity proves Options.POR is purely a performance
+// control on the public facade: the condition-(C) search reaches the same
+// verdict with and without partial-order reduction, visiting at most as
+// many configurations, and on the uniform-input instance strictly (at least
+// 2x) fewer — alone and stacked on Options.Symmetry.
 func TestSearchPORFacadeParity(t *testing.T) {
-	defer func(p, s bool) { SearchPOR, SearchSymmetry = p, s }(SearchPOR, SearchSymmetry)
-
 	cases := []struct {
 		name   string
 		inputs []Value
@@ -30,17 +28,8 @@ func TestSearchPORFacadeParity(t *testing.T) {
 				name += "+symmetry"
 			}
 			t.Run(name, func(t *testing.T) {
-				SearchSymmetry = symmetry
-				SearchPOR = false
-				plainW, plainFound, err := FindConsensusFailure(NewMinWait(1), c.inputs, live, 1, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				SearchPOR = true
-				porW, porFound, err := FindConsensusFailure(NewMinWait(1), c.inputs, live, 1, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
+				plainW, plainFound := findFailure(t, Options{Symmetry: symmetry}, NewMinWait(1), c.inputs, live, 1, 0)
+				porW, porFound := findFailure(t, Options{Symmetry: symmetry, POR: true}, NewMinWait(1), c.inputs, live, 1, 0)
 				if porFound != plainFound {
 					t.Fatalf("verdict diverged: por found=%t, plain found=%t", porFound, plainFound)
 				}
@@ -60,28 +49,15 @@ func TestSearchPORFacadeParity(t *testing.T) {
 }
 
 // TestSearchPORBivalenceTable proves the E6 valence table — whose searches
-// enumerate reduced action sets when SearchPOR is set, while the
+// enumerate reduced action sets when Options.POR is set, while the
 // critical-step analysis still lists every first action — renders
 // identically with the knob on and off, alone and composed with
-// SearchSymmetry.
+// Options.Symmetry.
 func TestSearchPORBivalenceTable(t *testing.T) {
-	defer func(p, s bool) { SearchPOR, SearchSymmetry = p, s }(SearchPOR, SearchSymmetry)
-
 	for _, symmetry := range []bool{false, true} {
-		SearchSymmetry = symmetry
-		SearchPOR = false
-		plain, err := ExperimentBivalence()
-		if err != nil {
-			t.Fatal(err)
-		}
-		SearchPOR = true
-		por, err := ExperimentBivalence()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if por.String() != plain.String() {
-			t.Fatalf("E6 table changed under SearchPOR (symmetry=%t):\n%s\nvs plain:\n%s",
-				symmetry, por.String(), plain.String())
+		plain := bivalenceTable(t, Options{Symmetry: symmetry})
+		if por := bivalenceTable(t, Options{Symmetry: symmetry, POR: true}); por != plain {
+			t.Fatalf("E6 table changed under POR (symmetry=%t):\n%s\nvs plain:\n%s", symmetry, por, plain)
 		}
 	}
 }
@@ -90,15 +66,15 @@ func TestSearchPORBivalenceTable(t *testing.T) {
 // Theorem 1 pipeline: the E1 engine row refutes MinWait identically with
 // the reduction on and off (distinct proposals, DFS condition-(C) search).
 func TestSearchPORTheorem2Engine(t *testing.T) {
-	defer func(p bool) { SearchPOR = p }(SearchPOR)
-
-	SearchPOR = false
 	plain, err := VerifyTheorem2Row(5, 3, 2, 60000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SearchPOR = true
-	por, err := VerifyTheorem2Row(5, 3, 2, 60000)
+	porS, err := NewSearcher(Options{POR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	por, err := porS.VerifyTheorem2Row(context.Background(), 5, 3, 2, 60000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,30 +6,19 @@ import (
 	"testing"
 )
 
-// TestSearchStoreFacadeParity proves the SearchStore knob is purely a
+// TestSearchStoreFacadeParity proves Options.Store is purely a
 // memory-regime control on the public facade: the condition-(C) search
 // finds the identical witness with identical stats under every store mode,
 // at sequential and parallel worker counts.
 func TestSearchStoreFacadeParity(t *testing.T) {
-	defer func(s string, w int) { SearchStore, SearchWorkers = s, w }(SearchStore, SearchWorkers)
-
-	SearchStore = ""
-	SearchWorkers = 1
-	refW, refFound, err := FindConsensusFailure(NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := []ProcessID{1, 2, 3}
+	refW, refFound := findFailure(t, Options{Workers: 1}, NewMinWait(1), DistinctInputs(3), live, 0, 0)
 	if !refFound {
 		t.Fatal("MinWait{F:1} disagreement not found in 3-process system")
 	}
 	for _, store := range []string{"inmem", "frontier", "spill"} {
 		for _, workers := range []int{1, 4} {
-			SearchStore = store
-			SearchWorkers = workers
-			w, found, err := FindConsensusFailure(NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w, found := findFailure(t, Options{Store: store, Workers: workers}, NewMinWait(1), DistinctInputs(3), live, 0, 0)
 			if found != refFound || w.Kind != refW.Kind || w.Detail != refW.Detail || w.Stats != refW.Stats {
 				t.Fatalf("store=%s workers=%d diverged: found=%t %s %q %+v vs %s %q %+v",
 					store, workers, found, w.Kind, w.Detail, w.Stats, refW.Kind, refW.Detail, refW.Stats)
@@ -63,36 +52,24 @@ func TestSearchStoreBivalenceTable(t *testing.T) {
 
 // TestSearchCheckpointFacade proves the checkpoint flow end-to-end through
 // the facade: a budget-truncated bounded search leaves a checkpoint file in
-// SearchCheckpoint, and rerunning the identical search with a full budget
+// Options.Checkpoint, and rerunning the identical search with a full budget
 // resumes from it and lands on the uninterrupted result.
 func TestSearchCheckpointFacade(t *testing.T) {
-	defer func(s, c string) { SearchStore, SearchCheckpoint = s, c }(SearchStore, SearchCheckpoint)
-
 	alg, inputs, live := NewMinWait(1), []Value{0, 0, 0}, []ProcessID{1, 2, 3}
 
-	SearchStore = "frontier"
-	SearchCheckpoint = ""
-	refW, refFound, err := FindConsensusFailure(alg, inputs, live, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refW, refFound := findFailure(t, Options{Store: "frontier"}, alg, inputs, live, 1, 0)
 	if refFound || refW.Stats.Truncated {
 		t.Fatalf("reference: found=%t stats=%+v", refFound, refW.Stats)
 	}
 
 	dir := t.TempDir()
-	SearchCheckpoint = dir
-	if _, _, err := FindConsensusFailure(alg, inputs, live, 1, refW.Stats.Visited/3); err != nil {
-		t.Fatal(err)
-	}
+	ckpt := Options{Store: "frontier", Checkpoint: dir}
+	findFailure(t, ckpt, alg, inputs, live, 1, refW.Stats.Visited/3)
 	entries, err := os.ReadDir(dir)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("no checkpoint files written to %s (err=%v)", dir, err)
 	}
-	w, found, err := FindConsensusFailure(alg, inputs, live, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, found := findFailure(t, ckpt, alg, inputs, live, 1, 0)
 	if found != refFound || w.Stats != refW.Stats {
 		t.Fatalf("resumed run diverged: found=%t stats=%+v vs %+v", found, w.Stats, refW.Stats)
 	}

@@ -6,14 +6,12 @@ import (
 	"kset/internal/testutil"
 )
 
-// TestSearchSymmetryFacadeParity proves the SearchSymmetry knob is purely a
+// TestSearchSymmetryFacadeParity proves Options.Symmetry is purely a
 // performance control on the public facade: the condition-(C) search
 // reaches the same verdict with and without orbit reduction, visiting at
 // most as many configurations, and on the uniform-input instance strictly
 // (at least 2x) fewer.
 func TestSearchSymmetryFacadeParity(t *testing.T) {
-	defer func(s bool) { SearchSymmetry = s }(SearchSymmetry)
-
 	cases := []struct {
 		name   string
 		inputs []Value
@@ -24,16 +22,8 @@ func TestSearchSymmetryFacadeParity(t *testing.T) {
 	live := []ProcessID{1, 2, 3, 4}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			SearchSymmetry = false
-			plainW, plainFound, err := FindConsensusFailure(NewMinWait(1), c.inputs, live, 1, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			SearchSymmetry = true
-			symW, symFound, err := FindConsensusFailure(NewMinWait(1), c.inputs, live, 1, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plainW, plainFound := findFailure(t, Options{}, NewMinWait(1), c.inputs, live, 1, 0)
+			symW, symFound := findFailure(t, Options{Symmetry: true}, NewMinWait(1), c.inputs, live, 1, 0)
 			if symFound != plainFound {
 				t.Fatalf("verdict diverged: symmetry found=%t, plain found=%t", symFound, plainFound)
 			}

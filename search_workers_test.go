@@ -2,22 +2,13 @@ package kset
 
 import "testing"
 
-// TestSearchWorkersFacadeParity proves the SearchWorkers knob is purely a
+// TestSearchWorkersFacadeParity proves Options.Workers is purely a
 // performance control on the public facade: the condition-(C) search finds
 // the identical witness with identical stats at any worker count.
 func TestSearchWorkersFacadeParity(t *testing.T) {
-	defer func(w int) { SearchWorkers = w }(SearchWorkers)
-
-	SearchWorkers = 1
-	seqW, seqFound, err := FindConsensusFailure(NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SearchWorkers = 4
-	parW, parFound, err := FindConsensusFailure(NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := []ProcessID{1, 2, 3}
+	seqW, seqFound := findFailure(t, Options{Workers: 1}, NewMinWait(1), DistinctInputs(3), live, 0, 0)
+	parW, parFound := findFailure(t, Options{Workers: 4}, NewMinWait(1), DistinctInputs(3), live, 0, 0)
 	if parFound != seqFound {
 		t.Fatalf("parallel found=%t, sequential found=%t", parFound, seqFound)
 	}
@@ -31,22 +22,11 @@ func TestSearchWorkersFacadeParity(t *testing.T) {
 }
 
 // TestSearchWorkersBivalenceTable proves the E6 valence table — whose
-// searches run on the parallel frontier when SearchWorkers > 1 — renders
+// searches run on the parallel frontier when Options.Workers > 1 — renders
 // identically at any worker count.
 func TestSearchWorkersBivalenceTable(t *testing.T) {
-	defer func(w int) { SearchWorkers = w }(SearchWorkers)
-
-	SearchWorkers = 1
-	seq, err := ExperimentBivalence()
-	if err != nil {
-		t.Fatal(err)
-	}
-	SearchWorkers = 4
-	par, err := ExperimentBivalence()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.String() != seq.String() {
-		t.Fatalf("E6 table changed under SearchWorkers=4:\n%s\nvs sequential:\n%s", par.String(), seq.String())
+	seq := bivalenceTable(t, Options{Workers: 1})
+	if par := bivalenceTable(t, Options{Workers: 4}); par != seq {
+		t.Fatalf("E6 table changed under Workers=4:\n%s\nvs sequential:\n%s", par, seq)
 	}
 }

@@ -15,10 +15,10 @@ import (
 // written into per-cell slots so the emitted table rows keep the exact
 // deterministic order of the sequential sweep.
 //
-// Unlike the deprecated Search* globals, SweepWorkers is not part of the
-// Options/Searcher API: it configures table generation in the CLI process,
-// never a search result, so it has no server-side twin and no effect on
-// verdicts or digests. Per-search parallelism is Options.Workers.
+// SweepWorkers is not part of the Options/Searcher API: it configures
+// table generation in the CLI process, never a search result, so it has no
+// server-side twin and no effect on verdicts or digests. Per-search
+// parallelism is Options.Workers.
 var SweepWorkers = 0
 
 // sweepWorkerCount resolves SweepWorkers against the cell count.
