@@ -265,19 +265,16 @@ type Explorer struct {
 	// content — so both the commutation pruning and the crashed-slot key
 	// normalization stand down when one is configured).
 	por bool
-	// packed reports that searches run on the packed struct-of-arrays
-	// configuration engine: process records live in flat uint64 slices and
-	// buffered messages in a flat pool (see sim.Packer), so cloning a
-	// configuration is a handful of memcpys instead of per-process
-	// allocations. New sets it wherever sim.PackerFor accepts the
-	// algorithm/system pair; the rest (algorithms without a packer, more
-	// than 64 processes) and witness replay run on the pointer engine.
-	// Results are bit-identical on both engines, so it is no search
-	// parameter and stays out of the search digest. It is also a test seam:
-	// tests clear it to run the pointer engine, against which the golden
-	// matrix, TestPackedConfigurationLockstep and FuzzPackedParity compare
-	// the packed one.
-	packed bool
+	// pointer forces the pointer configuration engine. Searches otherwise
+	// run on the packed struct-of-arrays engine (see sim.Packer), which
+	// clones a configuration with a handful of memcpys instead of
+	// per-process allocations, wherever sim.PackerFor accepts the
+	// algorithm/system pair. Results are bit-identical on both engines, so
+	// the engine stays out of the search digest. Witness replay sets it for
+	// the replayed run; tests set it to run the pointer engine, against
+	// which the golden matrix, TestPackedConfigurationLockstep and
+	// FuzzPackedParity compare the packed one.
+	pointer bool
 	// sc is the explorer's own search context, used by the serial loops and
 	// by the critical-step driver.
 	sc searchCtx
@@ -354,7 +351,6 @@ func New(alg sim.Algorithm, inputs []sim.Value, opts Options) *Explorer {
 	// quotient would erase spent budgets of crashed processes.
 	e.por = opts.POR && opts.Oracle == nil && hasMode(opts.Modes, DeliverAll) &&
 		opts.Faults.Model == sim.FaultCrash
-	_, _, e.packed = sim.PackerFor(alg, e.inputs)
 	e.sc.e = e
 	return e
 }
@@ -377,20 +373,15 @@ func (e *Explorer) searchWorkers() int {
 	return w
 }
 
-// initial builds the starting configuration — on the packed engine when
-// the explorer resolved it — with everyone outside Live silently crashed
-// (initially dead).
+// initial builds the starting configuration — on the packed engine unless
+// the algorithm has no packer or the explorer is forced onto the pointer
+// engine — with everyone outside Live silently crashed (initially dead).
 func (e *Explorer) initial() (*sim.Configuration, error) {
 	var cfg *sim.Configuration
-	if e.packed {
-		pcfg, ok := sim.NewPackedConfiguration(e.alg, e.inputs)
-		if !ok {
-			// PackerFor approved this pair in New; a refusal here means the
-			// algorithm changed identity between calls.
-			return nil, fmt.Errorf("explore: packed engine refused %s", e.alg.Name())
-		}
-		cfg = pcfg
-	} else {
+	if !e.pointer {
+		cfg, _ = sim.NewPackedConfiguration(e.alg, e.inputs)
+	}
+	if cfg == nil {
 		cfg = sim.NewConfiguration(e.alg, e.inputs)
 	}
 	liveSet := make(map[sim.ProcessID]bool, len(e.opts.Live))
@@ -415,10 +406,10 @@ func (e *Explorer) initial() (*sim.Configuration, error) {
 // Run escapes to callers who inspect states, apply further steps, and
 // expect the materialized event trail that the packed engine elides.
 func (e *Explorer) initialView() (*sim.Configuration, error) {
-	packed := e.packed
-	e.packed = false
+	pointer := e.pointer
+	e.pointer = true
 	cfg, err := e.initial()
-	e.packed = packed
+	e.pointer = pointer
 	return cfg, err
 }
 

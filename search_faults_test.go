@@ -36,9 +36,8 @@ func TestSearchFaultsFacadeParity(t *testing.T) {
 }
 
 // TestApplySearchConfigFaults pins the fault handling of search
-// configuration (the name is that of the flag-mirroring helper NewSearcher
-// replaced): a valid spec reaches the Searcher's Options together with the
-// other knobs, and an invalid one is rejected by NewSearcher and
+// configuration: a valid spec reaches the Searcher's Options together with
+// the other knobs, and an invalid one is rejected by NewSearcher and
 // Options.Validate alike, naming the bad model.
 func TestApplySearchConfigFaults(t *testing.T) {
 	want := Options{Workers: 2, Faults: "send-omission:2:1", Store: "frontier"}
