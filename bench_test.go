@@ -172,10 +172,12 @@ func BenchmarkEngineTheorem10QuorumMin(b *testing.B) {
 }
 
 // BenchmarkSymmetryConsensusFailure times the facade-level condition-(C)
-// search (Searcher.FindConsensusFailure: exhaustive disagreement + blocking
-// search) on the uniform-input Theorem 2 instance with Options.Symmetry off
-// and on — the EngineTheorem2MinWait-class workload where orbit reduction
-// pays off.
+// search (Searcher.FindConsensusFailure at GOMAXPROCS workers: one
+// exhaustive breadth-first pass that answers both the disagreement and the
+// blocking search, through the fan-out's merge) on the uniform-input
+// Theorem 2 instance with Options.Symmetry off and on — the
+// EngineTheorem2MinWait-class workload where orbit reduction pays off. CI
+// gates the "on" case, so a change that splits the pass again fails it.
 func BenchmarkSymmetryConsensusFailure(b *testing.B) {
 	inputs := []Value{0, 0, 0, 0}
 	live := []ProcessID{1, 2, 3, 4}

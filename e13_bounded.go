@@ -1,6 +1,7 @@
 package kset
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -31,9 +32,9 @@ type E13Params struct {
 	// Spill adds a disk-spill row (same result as frontier; the sealed
 	// levels stream to a temporary file instead of being dropped).
 	Spill bool
-	// Search configures the searches' worker count and checkpoint directory
-	// (the store and reductions are the experiment's subject and fixed per
-	// row); nil means default options.
+	// Search configures the searches' worker count, checkpoint directory and
+	// fault model (the store and reductions are the experiment's subject and
+	// fixed per row); nil means default options.
 	Search *Searcher
 }
 
@@ -88,6 +89,11 @@ func DefaultE13Params() E13Params {
 // GOMEMLIMIT=1GiB (largest live heap ~200 MB) and at full scale without
 // the cap.
 func ExperimentBoundedExploration(p E13Params) (*Table, error) {
+	search := orDefault(p.Search)
+	adversary := "a crash-budget adversary"
+	if search.faults.Model != sim.FaultCrash {
+		adversary += " with " + search.opts.Faults + " faults (POR stands down under them)"
+	}
 	t := &Table{
 		ID:    "E13",
 		Title: "Memory-bounded exploration: uniform Theorem 2 beyond the default budget",
@@ -95,7 +101,7 @@ func ExperimentBoundedExploration(p E13Params) (*Table, error) {
 			"store", "n", "f", "budget", "maxconfigs", "visited", "outcome", "detail",
 		},
 		Notes: []string{
-			"uniform inputs, all processes live, symmetry+POR stacked; MinWait(f) under a crash-budget adversary",
+			"uniform inputs, all processes live, symmetry+POR stacked; MinWait(f) under " + adversary,
 			"inmem retains ~23-26 B/state (visited key + 8 B level record) and truncates at its default budget;",
 			"frontier retains ~11-16 B/state (open-addressed visited keys) plus two live BFS levels and completes;",
 			"spill additionally streams the 8 B/state level-generation log to disk (checkpoint/witness source)",
@@ -120,23 +126,18 @@ func ExperimentBoundedExploration(p E13Params) (*Table, error) {
 	for i := range live {
 		live[i] = sim.ProcessID(i + 1)
 	}
-	search := orDefault(p.Search)
 	exhaustiveVisited := -1
 	for _, r := range rows {
 		store, err := explore.ParseStore(r.store)
 		if err != nil {
 			return nil, fmt.Errorf("E13: %w", err)
 		}
-		e := explore.New(algorithms.MinWait{F: p.F}, inputs, explore.Options{
-			Live:       live,
-			MaxCrashes: p.Budget,
-			MaxConfigs: r.maxConfigs,
-			Workers:    search.Options().Workers,
-			Symmetry:   true,
-			POR:        true,
-			Store:      store,
-			Checkpoint: search.Options().Checkpoint,
-		})
+		opts := search.exploreOptions(context.Background())
+		opts.Live = live
+		opts.MaxCrashes = p.Budget
+		opts.MaxConfigs = r.maxConfigs
+		opts.Symmetry, opts.POR, opts.Store = true, true, store
+		e := explore.New(algorithms.MinWait{F: p.F}, inputs, opts)
 		w, found, err := e.FindDisagreement()
 		if err != nil {
 			return nil, fmt.Errorf("E13: %s search: %w", r.store, err)

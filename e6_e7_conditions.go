@@ -1,6 +1,7 @@
 package kset
 
 import (
+	"context"
 	"fmt"
 
 	"kset/internal/algorithms"
@@ -27,13 +28,9 @@ func ExperimentBivalenceWith(search *Searcher) (*Table, error) {
 	// The three analyses per vector each need a fresh explorer over the same
 	// subsystem with the Searcher's knobs.
 	newExplorer := func(inputs []Value) *explore.Explorer {
-		return explore.New(algorithms.MinWait{F: 1}, inputs, explore.Options{
-			Live:     []ProcessID{1, 2, 3},
-			Workers:  s.opts.Workers,
-			Symmetry: s.opts.Symmetry,
-			POR:      s.opts.POR,
-			Store:    s.store,
-		})
+		opts := s.exploreOptions(context.Background())
+		opts.Live = []ProcessID{1, 2, 3}
+		return explore.New(algorithms.MinWait{F: 1}, inputs, opts)
 	}
 	t := &Table{
 		ID:    "E6",

@@ -171,8 +171,13 @@ type Report struct {
 
 	// CondCStats aggregates the condition-(C) exploration effort across the
 	// disagreement and blocking searches: Visited sums, the flags are sticky.
-	// Populated even when no witness is found, so callers can report search
-	// effort and cancellation for inconclusive verdicts.
+	// A breadth-first exploration answers both searches in one pass (see
+	// explore.Explorer.FindConsensusFailure) and reports the Stats each
+	// search would have, so the sum is what two separate searches report.
+	// The blocking search is skipped after a disagreement witness or a
+	// cancelled disagreement search. Populated even when no witness is
+	// found, so callers can report search effort and cancellation for
+	// inconclusive verdicts.
 	CondCStats explore.Stats
 
 	// Conditions (B) and (D): machine-checked indistinguishability between
@@ -267,39 +272,30 @@ func CheckImpossibility(inst Instance) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	witness, found, err := ex.FindDisagreement()
+	witness, found, disagreement, err := ex.FindConsensusFailure()
 	if err != nil {
-		return nil, fmt.Errorf("core: subsystem disagreement search: %w", err)
+		return nil, fmt.Errorf("core: subsystem search: %w", err)
 	}
-	if witness != nil {
-		r.CondCStats = witness.Stats
+	r.CondCStats = disagreement
+	if witness.Kind == "blocking" {
+		r.CondCStats.Visited += witness.Stats.Visited
+		r.CondCStats.Truncated = r.CondCStats.Truncated || witness.Stats.Truncated
+		r.CondCStats.Cancelled = r.CondCStats.Cancelled || witness.Stats.Cancelled
+		r.CondCStats.SnapshotFailed = r.CondCStats.SnapshotFailed || witness.Stats.SnapshotFailed
 	}
 	if !found {
-		truncated := witness != nil && witness.Stats.Truncated
-		witness, found, err = ex.FindBlocking()
-		if err != nil {
-			return nil, fmt.Errorf("core: subsystem blocking search: %w", err)
-		}
-		if witness != nil {
-			r.CondCStats.Visited += witness.Stats.Visited
-			r.CondCStats.Truncated = r.CondCStats.Truncated || witness.Stats.Truncated
-			r.CondCStats.Cancelled = r.CondCStats.Cancelled || witness.Stats.Cancelled
-			r.CondCStats.SnapshotFailed = r.CondCStats.SnapshotFailed || witness.Stats.SnapshotFailed
-		}
-		if !found {
-			if truncated || (witness != nil && witness.Stats.Truncated) {
-				r.CondC = StatusInconclusive
-				if r.CondCStats.Cancelled {
-					r.CondCDetail = "bounded subsystem search found no consensus failure (cancelled)"
-				} else {
-					r.CondCDetail = "bounded subsystem search found no consensus failure (truncated)"
-				}
+		if r.CondCStats.Truncated {
+			r.CondC = StatusInconclusive
+			if r.CondCStats.Cancelled {
+				r.CondCDetail = "bounded subsystem search found no consensus failure (cancelled)"
 			} else {
-				r.CondC = StatusFailed
-				r.CondCDetail = "A|D-bar solves consensus in <D-bar> under the explored adversary (condition (C) fails for this algorithm/model)"
+				r.CondCDetail = "bounded subsystem search found no consensus failure (truncated)"
 			}
-			return r, nil
+		} else {
+			r.CondC = StatusFailed
+			r.CondCDetail = "A|D-bar solves consensus in <D-bar> under the explored adversary (condition (C) fails for this algorithm/model)"
 		}
+		return r, nil
 	}
 	r.CondC = StatusSatisfied
 	r.CondCDetail = witness.Detail

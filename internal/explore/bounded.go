@@ -338,10 +338,36 @@ type boundedState struct {
 	// census, when set, makes the search a valence census (see valenceFrom):
 	// it stops before the next parent once the census is full.
 	census *census
+	// blocking, when set, makes a disagreement pass also stand in for the
+	// blocking search (see consensusFailurePass).
+	blocking *blockingRecord
+}
+
+// blockingRecord is what a disagreement pass records for the blocking search
+// it stands in for. The traversal does not depend on the goal, so the
+// blocking search would walk the pass's own prefix and stop at the first
+// sealed configuration blockingGoal holds on.
+type blockingRecord struct {
+	hit   *boundedHit // that configuration; nil while there is none
+	stats Stats       // the blocking search's Stats at hit
+	marks [][2]int    // (visited, level) of every level the pass sealed
+}
+
+// note checks cfg, just sealed as the last record of the current level's log
+// with visited parents counted, unless a hit is recorded already.
+func (b *blockingRecord) note(sc *searchCtx, st *boundedState, cfg *sim.Configuration, visited int) {
+	if b == nil || b.hit != nil {
+		return
+	}
+	if detail, ok := blockingGoal(sc, cfg); ok {
+		b.hit = &boundedHit{level: st.level + 1, pos: st.sink.levelLen(st.level) - 1, detail: detail}
+		b.stats = st.stats
+		b.stats.Visited = visited
+	}
 }
 
 // boundedHit locates a goal configuration in the level structure: frontier
-// entry pos of level (level >= 1; the root is handled before the loop).
+// entry pos of level (level 0 is the root, checked before the loop).
 type boundedHit struct {
 	level  int
 	pos    int
@@ -547,6 +573,13 @@ func (e *Explorer) searchBounded(goal goalFunc, kind string) (*Witness, bool, er
 	if err != nil {
 		return nil, false, err
 	}
+	return e.finishBounded(st, goal, kind, hit)
+}
+
+// finishBounded turns the end of a search's pass into its result: a pause
+// when the pass was truncated, the exhaustive "none" otherwise, or the
+// witness of hit.
+func (e *Explorer) finishBounded(st *boundedState, goal goalFunc, kind string, hit *boundedHit) (*Witness, bool, error) {
 	if hit == nil {
 		if st.stats.Truncated {
 			return e.pauseBounded(st, kind)
@@ -555,39 +588,106 @@ func (e *Explorer) searchBounded(goal goalFunc, kind string) (*Witness, bool, er
 		e.clearCheckpoint(kind)
 		return &Witness{Kind: kind, Stats: st.stats}, false, nil
 	}
-	if !st.sink.retained() {
-		// Bounded re-search: the traversal is deterministic, so re-running
-		// it with a recording sink reproduces the identical hit — this time
-		// with the generation records needed to read the path off.
-		stats := st.stats
-		st2, _, err := e.boundedFresh()
-		if err != nil {
-			return nil, false, err
-		}
-		st2.sink = &memSink{}
-		st2.quiet = true
-		hit2, err := e.runBounded(st2, goal)
-		if err != nil {
-			return nil, false, err
-		}
-		if hit2 == nil && st2.stats.Cancelled {
-			// The witness re-search was cancelled before re-reaching the hit.
-			// The original sink was discarded, so the witness is lost; report
-			// the cancellation rather than a spurious divergence.
-			return nil, false, fmt.Errorf("explore: search cancelled during witness re-search: %w", e.opts.Context.Err())
-		}
-		if hit2 == nil || *hit2 != *hit || st2.stats != stats {
-			return nil, false, fmt.Errorf("explore: witness re-search diverged (hit %+v vs %+v); the search is not deterministic", hit2, hit)
-		}
-		st = st2
-	}
-	w, err := e.boundedWitness(st.sink, hit, kind, st.stats)
+	w, err := e.hitWitness(st.sink, goal, kind, hit, st.stats)
 	st.sink.discard()
 	if err != nil {
 		return nil, false, err
 	}
 	e.clearCheckpoint(kind)
 	return w, true, nil
+}
+
+// hitWitness reconstructs the witness of hit, which a pass logging into sink
+// found with stats: read off the log when the sink retains it, by a bounded
+// re-search for goal otherwise.
+func (e *Explorer) hitWitness(sink levelSink, goal goalFunc, kind string, hit *boundedHit, stats Stats) (*Witness, error) {
+	if hit.level > 0 && !sink.retained() {
+		// Bounded re-search: the traversal is deterministic, so re-running
+		// it with a recording sink reproduces the identical hit — this time
+		// with the generation records needed to read the path off.
+		st2, _, err := e.boundedFresh()
+		if err != nil {
+			return nil, err
+		}
+		st2.sink = &memSink{}
+		st2.quiet = true
+		hit2, err := e.runBounded(st2, goal)
+		if err != nil {
+			return nil, err
+		}
+		if hit2 == nil && st2.stats.Cancelled {
+			// The witness re-search was cancelled before re-reaching the hit.
+			// The original sink was discarded, so the witness is lost; report
+			// the cancellation rather than a spurious divergence.
+			return nil, fmt.Errorf("explore: search cancelled during witness re-search: %w", e.opts.Context.Err())
+		}
+		if hit2 == nil || *hit2 != *hit || st2.stats != stats {
+			return nil, fmt.Errorf("explore: witness re-search diverged (hit %+v vs %+v); the search is not deterministic", hit2, hit)
+		}
+		sink = st2.sink
+	}
+	return e.boundedWitness(sink, hit, kind, stats)
+}
+
+// consensusFailurePass is FindConsensusFailure in one breadth-first pass: the
+// disagreement search, whose pass also records where the blocking search
+// would stop (see blockingRecord). When the disagreement search ends without
+// a witness and uncancelled, the blocking search would have re-walked a
+// prefix of the same pass, so its result — witness, Stats, pending pause and
+// progress marks — is taken from the record instead.
+func (e *Explorer) consensusFailurePass() (*Witness, bool, Stats, error) {
+	st, _, err := e.boundedFresh()
+	if err != nil {
+		return nil, false, Stats{}, err
+	}
+	st.kind = "disagreement"
+	root := st.frontier[0].cfg
+	if detail, ok := disagreementGoal(&e.sc, root); ok {
+		st.sink.discard()
+		w, found, err := e.witness("disagreement", detail, nil, st.stats)
+		return w, found, st.stats, err
+	}
+	b := &blockingRecord{}
+	st.blocking = b
+	if detail, ok := blockingGoal(&e.sc, root); ok {
+		b.hit = &boundedHit{detail: detail}
+	}
+	hit, err := e.runBounded(st, disagreementGoal)
+	if err != nil {
+		return nil, false, Stats{}, err
+	}
+	first := st.stats
+	if hit != nil || first.Cancelled {
+		w, found, err := e.finishBounded(st, disagreementGoal, "disagreement", hit)
+		return w, found, first, err
+	}
+	// The blocking search reports the levels it seals: those before its
+	// hit's, or every level the pass sealed when it has none.
+	for _, m := range b.marks {
+		if b.hit != nil && m[1] >= b.hit.level {
+			break
+		}
+		e.progress(m[0], m[1])
+	}
+	if b.hit == nil {
+		// The blocking search ends exactly where the pass ended; a truncated
+		// one leaves its own pause pending.
+		st.kind = "blocking"
+		w, found, err := e.finishBounded(st, blockingGoal, "blocking", nil)
+		return w, found, first, err
+	}
+	if first.Truncated {
+		// The disagreement search's pause stays pending, and the blocking
+		// witness is read off its level log, which therefore stays alive.
+		if _, _, err := e.pauseBounded(st, "disagreement"); err != nil {
+			return nil, false, first, err
+		}
+	}
+	w, err := e.hitWitness(st.sink, blockingGoal, "blocking", b.hit, b.stats)
+	if !first.Truncated {
+		st.sink.discard()
+	}
+	return w, err == nil, first, err
 }
 
 // snapshotLevel persists the search's paused state at a sealed level
@@ -677,6 +777,7 @@ func (e *Explorer) runBounded(st *boundedState, goal goalFunc) (*boundedHit, err
 						detail: detail,
 					}, nil
 				}
+				st.blocking.note(&e.sc, st, next, st.stats.Visited)
 				st.next = append(st.next, qent{cfg: next, crashes: crashes})
 			}
 			e.release(parent.cfg)
@@ -694,6 +795,9 @@ func (e *Explorer) sealLevel(st *boundedState) {
 	st.pos = 0
 	st.level++
 	e.snapshotLevel(st)
+	if st.blocking != nil {
+		st.blocking.marks = append(st.blocking.marks, [2]int{st.stats.Visited, st.level})
+	}
 	if !st.quiet {
 		e.progress(st.stats.Visited, st.level)
 	}
@@ -796,6 +900,7 @@ func (e *Explorer) runBoundedParallel(st *boundedState, goal goalFunc) (*bounded
 				if st.census != nil {
 					collectDecisions(st.census.seen, w.cfg)
 				}
+				st.blocking.note(ws[0], st, w.cfg, st.stats.Visited+parent+1-st.pos)
 				st.next = append(st.next, qent{cfg: w.cfg, crashes: w.crashes})
 			}
 			if last < st.pos+limit-1 && st.census.full() {

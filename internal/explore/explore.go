@@ -20,10 +20,16 @@
 //
 // Every breadth-first search — witness searches and valence censuses alike
 // — runs on one level-synchronous kernel (bounded.go), and every
-// depth-first search on its cons-list twin. The hot path is engineered
-// around four ideas. Revisit detection uses the simulator's incremental
-// 64-bit configuration fingerprint (sim.Configuration.Fingerprint) instead
-// of materializing the O(n·|buffers|) string Key per candidate; parentage
+// depth-first search on its cons-list twin. FindConsensusFailure, the
+// condition (C) question, answers the disagreement and the blocking search
+// in one breadth-first pass: the disagreement goal stops it, and the
+// blocking goal's first hit is recorded as the pass seals configurations,
+// with results identical to the two searches run one after the other.
+//
+// The hot path is engineered around four ideas. Revisit detection uses the
+// simulator's incremental 64-bit configuration fingerprint
+// (sim.Configuration.Fingerprint) instead of materializing the
+// O(n·|buffers|) string Key per candidate; parentage
 // lives in per-level logs of 8-byte generation records, from which a
 // witness path is read off backwards; the per-action configuration copies
 // are recycled through per-context free lists (sim.ClonePool), so a
@@ -214,9 +220,12 @@ type Options struct {
 	// witness search runs: at every sealed BFS level boundary for
 	// breadth-first searches, and every progressInterval visited
 	// configurations with level -1 for depth-first searches (whose traversal
-	// has no level structure). Calls are made from the goroutine driving the
-	// search — never concurrently — and must return quickly: the search
-	// blocks while the callback runs.
+	// has no level structure). FindConsensusFailure reports the levels of
+	// both of its searches, in order, also where one pass answers both: the
+	// blocking search's marks are then replayed from the pass's once it ends.
+	// Calls are made from the goroutine driving the search — never
+	// concurrently — and must return quickly: the search blocks while the
+	// callback runs.
 	OnProgress func(visited, level int)
 	// OnSnapshotError, when non-nil, is called when a best-effort
 	// level-boundary checkpoint snapshot fails (disk full, permissions):

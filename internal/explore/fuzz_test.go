@@ -78,21 +78,58 @@ func FuzzExploreParity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, algPick, nPick, crashPick byte, inputBits uint16, faultPick byte) {
 		d := fuzzInstance(algPick, nPick, crashPick, inputBits)
 		faults := fuzzFaults(faultPick)
-		build := func(symmetry, por bool) *Explorer {
+		// Keep each exec well under the fuzzer's per-input hang limit:
+		// instances whose plain search exceeds this budget (FLPKSet at n=3
+		// with a crash runs past 40000 nodes) are skipped by the parity
+		// checks below and pinned by the deterministic por_test suite
+		// instead.
+		const maxConfigs = 12000
+		buildOn := func(symmetry, por bool, store Store, maxConfigs int) *Explorer {
 			return New(sim.Restrict(d.alg, d.live), d.inputs, Options{
 				Live:       d.live,
 				MaxCrashes: d.crashes,
-				// Keep each exec well under the fuzzer's per-input hang
-				// limit: instances whose plain search exceeds this budget
-				// (FLPKSet at n=3 with a crash runs past 40000 nodes) are
-				// skipped here and pinned by the deterministic por_test
-				// suite instead.
-				MaxConfigs: 12000,
+				MaxConfigs: maxConfigs,
 				Workers:    1,
 				Symmetry:   symmetry,
 				POR:        por,
 				Faults:     faults,
+				Store:      store,
 			})
+		}
+		build := func(symmetry, por bool) *Explorer {
+			return buildOn(symmetry, por, StoreInMemory, maxConfigs)
+		}
+
+		// The one-pass FindConsensusFailure must observe what
+		// FindDisagreement followed by FindBlocking observes, plain and
+		// reduced, on a store drawn from the input, at the exec's budget and
+		// at a budget, also drawn from the input, that cuts the disagreement
+		// search.
+		store := Store(int(algPick/4) % 3)
+		onePassParity := func(reduced bool, budget int) Stats {
+			want, _, _, err := observeConsensusFailure(buildOn(reduced, reduced, store, budget), twoSearches, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, w, first, err := observeConsensusFailure(buildOn(reduced, reduced, store, budget), onePass, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("reduced=%t %v max=%d: one pass diverged from the two searches on %s %v crashes=%d:\n got %s\nwant %s",
+					reduced, store, budget, d.name, d.inputs, d.crashes, got, want)
+			}
+			if w.Run != nil {
+				testutil.RevalidateWitness(t, w.Kind, w.Run)
+			}
+			return first
+		}
+		for _, reduced := range []bool{false, true} {
+			// Any budget below the disagreement search's visited count cuts
+			// it.
+			if first := onePassParity(reduced, maxConfigs); first.Visited > 1 {
+				onePassParity(reduced, 1+int(inputBits>>6)%(first.Visited-1))
+			}
 		}
 		modes := []struct {
 			name          string

@@ -58,6 +58,39 @@ func blockingGoal(sc *searchCtx, cfg *sim.Configuration) (string, bool) {
 	return fmt.Sprintf("process %d can never decide (quiescent configuration)", p), true
 }
 
+// FindConsensusFailure answers condition (C) on the explorer: it returns what
+// FindDisagreement followed by FindBlocking returns, where the blocking
+// search is skipped after a disagreement witness or a cancelled disagreement
+// search, plus the disagreement search's Stats (equal to w.Stats when that
+// search's result is returned). Callers that account for the effort of both
+// searches, such as the Theorem 1 engine, add them up.
+//
+// A breadth-first search walks the reduced state space once: the blocking
+// search would re-walk a prefix of the disagreement search's traversal, which
+// does not depend on the goal, so the disagreement pass records where it
+// would stop and answers it from the record — witness, Stats, the paused
+// search left pending, and its OnProgress marks, replayed from the pass's own
+// marks. Searches that may resume a paused search (Options.Checkpoint set, or
+// a pause pending on the explorer) run the two searches, because each pauses
+// into its own per-kind checkpoint, and so do depth-first searches, which
+// mostly stop at a disagreement, where one pass would only add blocking-goal
+// evaluations.
+func (e *Explorer) FindConsensusFailure() (w *Witness, found bool, disagreement Stats, err error) {
+	if e.opts.Strategy != "dfs" && e.opts.Checkpoint == "" && e.pending == nil {
+		return e.consensusFailurePass()
+	}
+	w, found, err = e.FindDisagreement()
+	if err != nil {
+		return nil, false, Stats{}, err
+	}
+	disagreement = w.Stats
+	if found || w.Stats.Cancelled {
+		return w, found, disagreement, nil
+	}
+	w, found, err = e.FindBlocking()
+	return w, found, disagreement, err
+}
+
 // goalFunc is a witness predicate evaluated on candidate configurations. It
 // receives the evaluating goroutine's search context so predicates needing
 // scratch state (quiescentBlocked's probe clone) stay allocation-free and

@@ -75,22 +75,27 @@ type shardOutcome struct {
 	keys  string
 }
 
-// consensusFailureWithKeys runs plainConsensusFailure on e and digests the
+// consensusFailureWithKeys runs FindConsensusFailure on e and digests the
 // visited-key sets of its searches.
 func consensusFailureWithKeys(e *Explorer) (shardOutcome, error) {
 	var sets []*visitedSet
 	e.onVisited = func(v *visitedSet) { sets = append(sets, v) }
-	w, found, err := plainConsensusFailure(e)
+	w, found, _, err := e.FindConsensusFailure()
 	return shardOutcome{w: w, found: found, keys: keysDigest(sets)}, err
 }
 
 // runShardedConsensusFailure drives a full sharded consensus-failure search
-// in process: `shards` goroutine participants, each on its own explorer
-// from mk, over a LocalShardHub, as kset.Searcher.FindConsensusFailureSharded
-// composes them. It returns every participant's outcome.
+// in process, as kset.Searcher.FindConsensusFailureSharded composes it, and
+// returns every participant's outcome.
 func runShardedConsensusFailure(mk func() *Explorer, shards int) ([]shardOutcome, error) {
+	return runSharded(mk, shards, consensusFailureWithKeys)
+}
+
+// runSharded runs `shards` goroutine participants, each on its own explorer
+// from mk, over a LocalShardHub, and returns what run gives on each.
+func runSharded[T any](mk func() *Explorer, shards int, run func(*Explorer) (T, error)) ([]T, error) {
 	hub := NewLocalShardHub(shards)
-	out := make([]shardOutcome, shards)
+	out := make([]T, shards)
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
@@ -100,7 +105,7 @@ func runShardedConsensusFailure(mk func() *Explorer, shards int) ([]shardOutcome
 			e := mk()
 			err := e.Shard(shard, shards, hub.Participant(shard))
 			if err == nil {
-				out[shard], err = consensusFailureWithKeys(e)
+				out[shard], err = run(e)
 			}
 			if err != nil {
 				errs[shard] = fmt.Errorf("participant %d: %w", shard, err)
@@ -110,17 +115,6 @@ func runShardedConsensusFailure(mk func() *Explorer, shards int) ([]shardOutcome
 	}
 	wg.Wait()
 	return out, errors.Join(errs...)
-}
-
-// plainConsensusFailure is the FindConsensusFailure shape on one explorer:
-// FindDisagreement, then FindBlocking unless a witness was found or the
-// disagreement search was cancelled.
-func plainConsensusFailure(e *Explorer) (*Witness, bool, error) {
-	w, found, err := e.FindDisagreement()
-	if err != nil || found || w.Stats.Cancelled {
-		return w, found, err
-	}
-	return e.FindBlocking()
 }
 
 // shardDiffOpts is the reduction/store matrix of the sharded differential
@@ -210,7 +204,7 @@ func TestShardedSearchTruncationParity(t *testing.T) {
 	d := diffInstances()[1] // minwait-n3-crash: a larger space with witnesses
 	for _, maxConfigs := range []int{1, 7, 57, 200, 1000} {
 		seq := d.explorerOpts(shardDiffOpts{store: StoreFrontierOnly}, maxConfigs)
-		want, wantFound, err := plainConsensusFailure(seq)
+		want, wantFound, _, err := twoSearches(seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +248,7 @@ func TestShardedSearchCancelParity(t *testing.T) {
 			},
 		})
 	}
-	want, wantFound, err := plainConsensusFailure(cancelAt(2))
+	want, wantFound, _, err := twoSearches(cancelAt(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +335,7 @@ func TestShardedSearchLevelProfile(t *testing.T) {
 			seq := d.spillExplorer(t.TempDir(), func(v, l int) {
 				wantProg = append(wantProg, [2]int{v, l})
 			})
-			_, wantFound, err := plainConsensusFailure(seq)
+			_, wantFound, _, err := twoSearches(seq)
 			if err != nil {
 				t.Fatal(err)
 			}

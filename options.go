@@ -172,24 +172,33 @@ type SearchRequest struct {
 	OnSnapshotError func(error)
 }
 
+// exploreOptions maps the Searcher's knobs and ctx onto explore.Options: the
+// one root site that lists them. explorer adds a request's fields to them,
+// and the experiments that build their own explorers (E6, E13) start from
+// them too, so every knob reaches every search.
+func (s *Searcher) exploreOptions(ctx context.Context) explore.Options {
+	return explore.Options{
+		Workers:    s.opts.Workers,
+		Symmetry:   s.opts.Symmetry,
+		POR:        s.opts.POR,
+		Faults:     s.faults,
+		Store:      s.store,
+		Checkpoint: s.opts.Checkpoint,
+		Context:    ctx,
+	}
+}
+
 // explorer builds the condition-(C) explorer FindConsensusFailure and
 // SearchDigest share, so the digest always addresses exactly the search
 // that would run.
 func (s *Searcher) explorer(ctx context.Context, req SearchRequest) *explore.Explorer {
-	return explore.New(sim.Restrict(req.Alg, req.Live), req.Inputs, explore.Options{
-		Live:            req.Live,
-		MaxCrashes:      req.CrashBudget,
-		MaxConfigs:      req.MaxConfigs,
-		Workers:         s.opts.Workers,
-		Symmetry:        s.opts.Symmetry,
-		POR:             s.opts.POR,
-		Faults:          s.faults,
-		Store:           s.store,
-		Checkpoint:      s.opts.Checkpoint,
-		Context:         ctx,
-		OnProgress:      req.OnProgress,
-		OnSnapshotError: req.OnSnapshotError,
-	})
+	opts := s.exploreOptions(ctx)
+	opts.Live = req.Live
+	opts.MaxCrashes = req.CrashBudget
+	opts.MaxConfigs = req.MaxConfigs
+	opts.OnProgress = req.OnProgress
+	opts.OnSnapshotError = req.OnSnapshotError
+	return explore.New(sim.Restrict(req.Alg, req.Live), req.Inputs, opts)
 }
 
 // FindConsensusFailure searches the subsystem of live processes for a
@@ -201,17 +210,16 @@ func (s *Searcher) FindConsensusFailure(ctx context.Context, req SearchRequest) 
 	return consensusFailure(s.explorer(ctx, req))
 }
 
-// consensusFailure runs the disagreement search on ex, then the blocking
-// search unless a witness was found or the disagreement search was
-// cancelled, and returns the last search's result. A cancelled search
-// returns its own result: a blocking search started after it would stop at
-// its first poll and report nothing visited.
+// consensusFailure runs explore.Explorer.FindConsensusFailure on ex, for the
+// plain and the sharded search alike: the disagreement search, then the
+// blocking search unless a witness was found or the disagreement search was
+// cancelled (a blocking search started after a cancellation would stop at
+// its first poll and report nothing visited), returning the last search's
+// result. Breadth-first searches answer both in one pass over the state
+// space; OnProgress still reports both searches' levels.
 func consensusFailure(ex *explore.Explorer) (*explore.Witness, bool, error) {
-	w, found, err := ex.FindDisagreement()
-	if err != nil || found || w.Stats.Cancelled {
-		return w, found, err
-	}
-	return ex.FindBlocking()
+	w, found, _, err := ex.FindConsensusFailure()
+	return w, found, err
 }
 
 // SearchDigest returns the content address of FindConsensusFailure's

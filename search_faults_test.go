@@ -63,3 +63,42 @@ func TestApplySearchConfigFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestExperimentsHonourFaults runs E6 and E13 under the send-omission:1:1
+// adversary: both experiments build their explorers from the Searcher, so
+// the fault model reaches them. Crash-only, E6's [0 1 1] row has 2 stalling
+// steps and E13 at n=4, f=2, budget 1 visits 520 states; with one omission
+// fault the figures are 5 and 2,163, and E13's notes name the model.
+func TestExperimentsHonourFaults(t *testing.T) {
+	for _, c := range []struct {
+		faults            string
+		stalling, visited string
+	}{
+		{"", "2", "520"},
+		{"send-omission:1:1", "5", "2163"},
+	} {
+		s, err := NewSearcher(Options{Faults: c.faults})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e6, err := ExperimentBivalenceWith(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row := e6.Rows[2]; row[0] != "[0 1 1]" || row[5] != c.stalling {
+			t.Fatalf("faults %q: E6 row %v, want [0 1 1] with %s stalling steps", c.faults, row, c.stalling)
+		}
+		e13, err := ExperimentBoundedExploration(E13Params{N: 4, F: 2, Budget: 1, InMemMaxConfigs: 100000, MaxConfigs: 100000, Search: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range e13.Rows {
+			if row[5] != c.visited || row[6] != "exhausted" {
+				t.Fatalf("faults %q: E13 row %v, want %s states visited exhaustively", c.faults, row, c.visited)
+			}
+		}
+		if named := strings.Contains(e13.Notes[0], "send-omission:1:1"); named != (c.faults != "") {
+			t.Fatalf("faults %q: E13 note %q", c.faults, e13.Notes[0])
+		}
+	}
+}
