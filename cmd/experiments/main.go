@@ -9,6 +9,7 @@
 //	experiments -search-workers 1 E6     # force sequential frontier search
 //	experiments -symmetry -por E6        # both search-space reductions (README, Reductions)
 //	experiments -write-golden testdata/golden E1 E2   # refresh golden tables
+//	experiments -cpuprofile cpu.pprof -memprofile mem.pprof E13   # profile a run
 //
 // -write-golden writes each selected experiment's rendered table to
 // <dir>/<ID>.txt (without the wall-clock footer, which is not
@@ -43,6 +44,7 @@ import (
 	"time"
 
 	"kset"
+	"kset/internal/profiling"
 	"kset/internal/service"
 )
 
@@ -50,7 +52,7 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-func run(args []string) int {
+func run(args []string) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	sweepWorkers := fs.Int("sweep-workers", 0, "worker pool for independent sweep cells (0 = GOMAXPROCS, 1 = sequential)")
 	searchWorkers := fs.Int("search-workers", 0, "worker goroutines per frontier search (0 = GOMAXPROCS, 1 = sequential)")
@@ -64,9 +66,22 @@ func run(args []string) int {
 	shards := fs.Int("shards", 1, "participants in the -instance search: this process plus shards-1 worker processes (1 = single-process; results are bit-identical at every count)")
 	shardWorker := fs.String("shard-worker", "", "internal: run as a shard worker against this coordinator URL")
 	shardIndex := fs.Int("shard-index", -1, "internal: participant index (1 or more) for -shard-worker")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
+	memProfile := fs.String("memprofile", "", "write a heap profile, taken as the run ends, to this file (go tool pprof format)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stop, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			code = max(code, 1)
+		}
+	}()
 	if *shardWorker != "" {
 		if err := service.ShardWorkerMain(context.Background(), *shardWorker, *shardIndex); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)

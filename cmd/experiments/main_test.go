@@ -1,6 +1,8 @@
 package main
 
 import (
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,5 +45,31 @@ func TestRunRejectsUnknownExperimentIDs(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "E10.txt")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunWritesProfiles pins -cpuprofile and -memprofile: a run leaves both
+// profiles, each a non-empty gzip stream as runtime/pprof writes them.
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if code := run([]string{"-cpuprofile", cpu, "-memprofile", mem, "-write-golden", dir, "E14"}); code != 0 {
+		t.Fatalf("exit status %d, want 0", code)
+	}
+	for _, path := range []string{cpu, mem} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			f.Close()
+			t.Fatalf("%s: %v", path, err)
+		}
+		body, err := io.ReadAll(zr)
+		f.Close()
+		if err != nil || len(body) == 0 {
+			t.Fatalf("%s: %d bytes after gunzip, err %v", path, len(body), err)
+		}
 	}
 }

@@ -8,6 +8,7 @@
 //	impossibility -alg minwait -n 5 -f 3 -k 2            # Theorem 2 setting
 //	impossibility -alg quorummin -n 5 -k 2 -theorem10    # Theorem 10 setting
 //	impossibility -alg firstheard -n 6 -k 3 -groups "1,2|3,4" -budget 1
+//	impossibility -cpuprofile cpu.pprof -memprofile mem.pprof -strategy bfs
 package main
 
 import (
@@ -19,13 +20,14 @@ import (
 	"strings"
 
 	"kset"
+	"kset/internal/profiling"
 )
 
 func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		algName   = flag.String("alg", "minwait", "algorithm: minwait, flpkset, sigmaomega, quorummin, decideown, firstheard, roundflood, singletonquorum")
 		n         = flag.Int("n", 5, "number of processes")
@@ -43,8 +45,21 @@ func run() int {
 		ckpt      = flag.String("checkpoint", "", "directory for pausing truncated <D-bar> searches and resuming them on the next run (requires -strategy bfs)")
 		faults    = flag.String("faults", "", "fault model of the <D-bar> adversary beyond crashes: model[:budget[:maxfaulty]] with model send-omission, receive-omission, or byzantine (default crash-only)")
 		verbose   = flag.Bool("v", false, "print the per-condition explanation")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
+		memProf   = flag.String("memprofile", "", "write a heap profile, taken as the run ends, to this file (go tool pprof format)")
 	)
 	flag.Parse()
+	stop, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "impossibility:", err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "impossibility:", err)
+			code = max(code, 1)
+		}
+	}()
 
 	// One Searcher value carries every search knob (and validates the store
 	// and fault spellings); both the Theorem 10 path and the generic engine

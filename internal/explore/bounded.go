@@ -537,18 +537,17 @@ func (e *Explorer) regenerateLevel(st *boundedState, parents int) ([]qent, error
 			return nil, fmt.Errorf("explore: corrupt checkpoint: level %d record %d parent %d outside [0, %d)", l, j, rec.parent, parents)
 		}
 		parent := st.frontier[rec.parent]
-		cfg, ok := e.sc.apply(parent.cfg, rec.act)
-		if !ok {
+		if !e.sc.plan(parent.cfg, rec.act) {
 			return nil, fmt.Errorf("explore: corrupt checkpoint: level %d record %d action inapplicable", l, j)
 		}
 		crashes := parent.crashes
 		if rec.act.Crash {
 			crashes++
 		}
-		if !st.vis.Insert(e.key(cfg, int(crashes))) {
+		if !st.vis.Insert(e.key(&e.sc.succ, int(crashes))) {
 			return nil, fmt.Errorf("explore: corrupt checkpoint: level %d record %d revisits a sealed key", l, j)
 		}
-		next = append(next, qent{cfg: cfg, crashes: crashes})
+		next = append(next, qent{cfg: e.sc.commit(), crashes: crashes})
 	}
 	return next, nil
 }
@@ -755,18 +754,17 @@ func (e *Explorer) runBounded(st *boundedState, goal goalFunc) (*boundedHit, err
 			parent := st.frontier[st.pos]
 			st.stats.Visited++
 			for _, act := range e.actions(parent.cfg, int(parent.crashes)) {
-				next, ok := e.apply(parent.cfg, act)
-				if !ok {
+				if !e.sc.plan(parent.cfg, act) {
 					continue
 				}
 				crashes := parent.crashes
 				if act.Crash {
 					crashes++
 				}
-				if !st.vis.Insert(e.key(next, int(crashes))) {
-					e.release(next)
+				if !st.vis.Insert(e.key(&e.sc.succ, int(crashes))) {
 					continue
 				}
+				next := e.sc.commit()
 				if err := st.sink.append(levelRec{parent: int32(st.pos), act: act}); err != nil {
 					return nil, err
 				}
@@ -1039,18 +1037,17 @@ func (e *Explorer) searchBoundedDFS(goal goalFunc, kind string) (*Witness, bool,
 		stack = stack[:len(stack)-1]
 		stats.Visited++
 		for _, act := range e.actions(cur.cfg, int(cur.crashes)) {
-			next, ok := e.apply(cur.cfg, act)
-			if !ok {
+			if !e.sc.plan(cur.cfg, act) {
 				continue
 			}
 			crashes := cur.crashes
 			if act.Crash {
 				crashes++
 			}
-			if !vis.Insert(e.key(next, int(crashes))) {
-				e.release(next)
+			if !vis.Insert(e.key(&e.sc.succ, int(crashes))) {
 				continue
 			}
+			next := e.sc.commit()
 			node := &pathNode{parent: cur.path, act: act}
 			if detail, ok := goal(&e.sc, next); ok {
 				var acts []action

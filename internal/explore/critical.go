@@ -72,11 +72,10 @@ func (e *Explorer) AnalyzeCriticalSteps() (*CriticalAnalysis, error) {
 	// Options.POR (the successor valence computations still prune).
 	acts := append([]action(nil), e.sc.actionsFull(start, 0)...)
 	for _, act := range acts {
-		next, ok := e.apply(start, act)
-		if !ok {
+		if !e.sc.plan(start, act) {
 			continue
 		}
-		vals, stats, err := e.valenceFrom(next, boolToInt(act.Crash), 0)
+		vals, stats, err := e.valenceFrom(e.sc.commit(), boolToInt(act.Crash), 0)
 		if err != nil {
 			return nil, fmt.Errorf("explore: successor valence: %w", err)
 		}

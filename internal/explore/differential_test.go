@@ -44,10 +44,10 @@ func legacyBFS(t *testing.T, e *Explorer, key func(*sim.Configuration, int) any,
 		cur := queue[0]
 		queue = queue[1:]
 		for _, act := range e.actions(cur.cfg, cur.crashes) {
-			next, ok := e.apply(cur.cfg, act)
-			if !ok {
+			if !e.sc.plan(cur.cfg, act) {
 				continue
 			}
+			next := e.sc.commit()
 			crashes := cur.crashes
 			if act.Crash {
 				crashes++

@@ -26,17 +26,21 @@
 // blocking goal's first hit is recorded as the pass seals configurations,
 // with results identical to the two searches run one after the other.
 //
-// The hot path is engineered around four ideas. Revisit detection uses the
-// simulator's incremental 64-bit configuration fingerprint
-// (sim.Configuration.Fingerprint) instead of materializing the
-// O(n·|buffers|) string Key per candidate; parentage
-// lives in per-level logs of 8-byte generation records, from which a
-// witness path is read off backwards; the per-action configuration copies
-// are recycled through per-context free lists (sim.ClonePool), so a
-// steady-state search allocates almost nothing per visited configuration;
-// and the kernel expands each frontier level across Options.Workers
-// goroutines (see parallel.go) with results bit-identical to the
-// sequential order. The same fan-out runs a breadth-first witness search
+// The hot path is engineered around four ideas. Every successor is keyed
+// before it is built: the kernel plans an action on its parent
+// (sim.Configuration.Plan), which steps a copy of one process's state and
+// patches the parent's cached 64-bit fingerprint with the step's hash terms
+// instead of materializing the O(n·|buffers|) string Key; it looks the key
+// up in the visited set and commits the successor (sim.Successor.Commit)
+// only when the key is new. Most successors are duplicates, and a duplicate
+// costs a record copy, one step and its hash terms instead of a copy of the
+// configuration. Parentage lives in per-level logs of 8-byte generation
+// records, from which a witness path is read off backwards; committed
+// configurations are recycled through per-context free lists
+// (sim.ClonePool), so a steady-state search allocates almost nothing per
+// visited configuration; and the kernel expands each frontier level across
+// Options.Workers goroutines (see parallel.go) with results bit-identical to
+// the sequential order. The same fan-out runs a breadth-first witness search
 // sharded: N participants, each an Explorer holding the whole search (see
 // Explorer.Shard), expand the frontier positions whose key they own and join
 // every chunk with one all-gather round (see shard.go), in process or
@@ -298,23 +302,28 @@ type Explorer struct {
 	// explorer starts (see newVisited). It is a test seam: the golden table
 	// digests the sets to prove engines seal identical configurations.
 	onVisited func(*visitedSet)
+	// onCommit, when set, is called once per successor the explorer's
+	// searches build (see searchCtx.commit), concurrently from the fan-out's
+	// workers. It is a test seam counting the configurations a search
+	// builds.
+	onCommit func()
 }
 
 // searchCtx bundles the mutable per-goroutine scratch state of a search:
-// the configuration free list, the delivery-id and action-enumeration
-// buffers, and the quiescence probe clone. The serial loops use the
-// explorer's own context; the parallel fan-out gives every worker its own,
-// so the clone/release hot path never contends across workers.
+// the configuration free list, the planned successor, and the delivery-id
+// and action-enumeration buffers. The serial loops use the explorer's own
+// context; the parallel fan-out gives every worker its own, so the
+// plan/commit/release hot path never contends across workers.
 type searchCtx struct {
 	e *Explorer
-	// pool recycles retired configurations as pooled-clone destinations.
+	// pool recycles retired configurations as commit destinations.
 	pool sim.ClonePool
+	// succ is the planned successor of the last plan (see plan).
+	succ sim.Successor
 	// scratch is the reusable delivery-id buffer for step requests.
 	scratch []int64
 	// actbuf is the reusable action-enumeration buffer (see actions).
 	actbuf []action
-	// probe is the reusable scratch clone of quiescentBlocked.
-	probe *sim.Configuration
 }
 
 // New returns an explorer for the given algorithm and proposal vector.
@@ -432,11 +441,21 @@ func (e *Explorer) newVisited() *visitedSet {
 	return v
 }
 
+// fingerprints is what a key reads of a configuration: a
+// *sim.Configuration, or a *sim.Successor planned from one, whose key is
+// thereby known before the successor is built.
+type fingerprints interface {
+	Fingerprint() uint64
+	LiveFingerprint() uint64
+	Canonical64() uint64
+	LiveCanonical64() uint64
+}
+
 // cfgKey combines the configuration fingerprint with the crash budget
 // spent, since the same configuration with different remaining budgets has
 // different futures. It replaces the old string nodeKey on the search hot
 // path; the string Key() remains for explain/debug output.
-func cfgKey(cfg *sim.Configuration, crashes int) uint64 {
+func cfgKey(cfg fingerprints, crashes int) uint64 {
 	return sim.HashMix(cfg.Fingerprint() ^ (uint64(crashes) * 0x9e3779b97f4a7c15))
 }
 
@@ -449,7 +468,7 @@ func cfgKey(cfg *sim.Configuration, crashes int) uint64 {
 // inert crashed-slot content — a crashed process's absorbed state and
 // undelivered messages can never influence a future step or verdict, so
 // the quotient is sound independently of the commutation pruning.
-func (e *Explorer) key(cfg *sim.Configuration, crashes int) uint64 {
+func (e *Explorer) key(cfg fingerprints, crashes int) uint64 {
 	salt := uint64(crashes) * 0x9e3779b97f4a7c15
 	switch {
 	case e.sym != nil && e.por:
@@ -469,15 +488,15 @@ func (sc *searchCtx) release(c *sim.Configuration) {
 	sc.pool.Put(c)
 }
 
-// apply performs an action on a pooled clone of cfg and returns the new
-// configuration, or ok=false if the action is inapplicable. The result is
-// owned by the caller; hand it back via release when it leaves the search.
-func (sc *searchCtx) apply(cfg *sim.Configuration, act action) (*sim.Configuration, bool) {
+// plan plans act at cfg into the context's successor (see
+// sim.Configuration.Plan) and reports whether the action applies. Nothing is
+// built and cfg is only read, so the fan-out's workers plan from a shared
+// frontier: a search keys sc.succ and commits it only when the key is new.
+func (sc *searchCtx) plan(cfg *sim.Configuration, act action) bool {
 	e := sc.e
 	if cfg.Crashed(act.Proc) {
-		return nil, false
+		return false
 	}
-	next := cfg.CloneInto(sc.pool.Get())
 	req := sim.StepRequest{Proc: act.Proc, Crash: act.Crash}
 	if act.Crash && act.Omit {
 		req.OmitTo = e.omitAll
@@ -486,29 +505,33 @@ func (sc *searchCtx) apply(cfg *sim.Configuration, act action) (*sim.Configurati
 	switch act.Mode {
 	case DeliverNone:
 	case DeliverOldest:
-		id, ok := next.OldestMessageID(act.Proc)
+		id, ok := cfg.OldestMessageID(act.Proc)
 		if !ok {
-			sc.release(next)
-			return nil, false // identical to DeliverNone; skip duplicate branch
+			return false // identical to DeliverNone; skip duplicate branch
 		}
 		sc.scratch = append(sc.scratch[:0], id)
 		req.Deliver = sc.scratch
 	case DeliverAll:
-		sc.scratch = next.AppendDeliveryIDs(sc.scratch[:0], act.Proc)
+		sc.scratch = cfg.AppendDeliveryIDs(sc.scratch[:0], act.Proc)
 		if len(sc.scratch) == 0 {
-			sc.release(next)
-			return nil, false // identical to DeliverNone
+			return false // identical to DeliverNone
 		}
 		req.Deliver = sc.scratch
 	}
 	if e.opts.Oracle != nil {
-		req.FD = e.opts.Oracle.Query(act.Proc, next.Time(), next)
+		req.FD = e.opts.Oracle.Query(act.Proc, cfg.Time(), cfg)
 	}
-	if err := next.ApplyQuiet(req); err != nil {
-		sc.release(next)
-		return nil, false
+	return cfg.Plan(req, &sc.succ) == nil
+}
+
+// commit builds the successor of the last plan on a pooled configuration.
+// The result is owned by the caller; hand it back via release when it
+// leaves the search.
+func (sc *searchCtx) commit() *sim.Configuration {
+	if sc.e.onCommit != nil {
+		sc.e.onCommit()
 	}
-	return next, true
+	return sc.succ.Commit(sc.pool.Get())
 }
 
 // actions enumerates the adversary's choices at cfg with the given crash
@@ -583,10 +606,6 @@ func (sc *searchCtx) enumerate(cfg *sim.Configuration, crashes int, plan porPlan
 // serial search loops and the in-package tests.
 
 func (e *Explorer) release(c *sim.Configuration) { e.sc.release(c) }
-
-func (e *Explorer) apply(cfg *sim.Configuration, act action) (*sim.Configuration, bool) {
-	return e.sc.apply(cfg, act)
-}
 
 func (e *Explorer) actions(cfg *sim.Configuration, crashes int) []action {
 	return e.sc.actions(cfg, crashes)

@@ -93,7 +93,7 @@ func (e *Explorer) canFault(cfg *sim.Configuration, p sim.ProcessID) bool {
 }
 
 // faultRequest marks req as act's fault step, the single mapping shared by
-// the search hot path (searchCtx.apply) and witness replay (replayActions).
+// the search hot path (searchCtx.plan) and witness replay (replayActions).
 func faultRequest(req *sim.StepRequest, f sim.FaultModel) {
 	switch f {
 	case sim.FaultSendOmission:

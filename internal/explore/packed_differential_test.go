@@ -123,11 +123,18 @@ func TestPackedEngineStandsDown(t *testing.T) {
 // unpackable hides an algorithm's NewPacker method.
 type unpackable struct{ sim.Algorithm }
 
+// nodePrints is the four fingerprints a search key may read.
+type nodePrints struct{ fp, live, canon, liveCanon uint64 }
+
 // TestPackedConfigurationLockstep drives the packed and pointer engines
 // through the same breadth-first action tree and asserts, configuration by
 // configuration, that every observable the search keys on is bit-identical:
 // Key, Fingerprint, LiveFingerprint, and (under symmetry) Canonical64 and
-// LiveCanonical64, plus decision vectors and buffer sizes.
+// LiveCanonical64, plus decision vectors and buffer sizes. Every action is
+// planned before it is committed, on both engines: a plan must leave its
+// parent's key and fingerprints as they were and predict the committed
+// configuration's fingerprints, and an inapplicable request must be
+// rejected by both engines with the same error.
 func TestPackedConfigurationLockstep(t *testing.T) {
 	for _, c := range packedDiffCells() {
 		t.Run(c.name(), func(t *testing.T) {
@@ -147,6 +154,13 @@ func TestPackedConfigurationLockstep(t *testing.T) {
 			type pair struct {
 				ptr, pck *sim.Configuration
 				crashes  int
+			}
+			printsOf := func(f fingerprints) nodePrints {
+				p := nodePrints{fp: f.Fingerprint(), live: f.LiveFingerprint()}
+				if c.symmetry {
+					p.canon, p.liveCanon = f.Canonical64(), f.LiveCanonical64()
+				}
+				return p
 			}
 			comparePair := func(path string, p pair) {
 				t.Helper()
@@ -183,14 +197,39 @@ func TestPackedConfigurationLockstep(t *testing.T) {
 				if fmt.Sprint(acts) != fmt.Sprint(pacts) {
 					t.Fatalf("action enumeration diverged:\npointer %v\npacked  %v", acts, pacts)
 				}
+				// An inapplicable request is rejected alike, and the parents
+				// are left as they were.
+				bad := sim.StepRequest{Proc: 1, Deliver: []int64{-1}}
+				errp, errk := cur.ptr.Plan(bad, &ptr.sc.succ), cur.pck.Plan(bad, &pck.sc.succ)
+				if errp == nil || errk == nil || errp.Error() != errk.Error() {
+					t.Fatalf("plan(%+v): pointer error %v, packed error %v", bad, errp, errk)
+				}
+				parent := [2]nodePrints{printsOf(cur.ptr), printsOf(cur.pck)}
+				parentKey := [2]string{cur.ptr.Key(), cur.pck.Key()}
 				for _, act := range acts {
-					np, okp := ptr.apply(cur.ptr, act)
-					nk, okk := pck.apply(cur.pck, act)
+					okp := ptr.sc.plan(cur.ptr, act)
+					okk := pck.sc.plan(cur.pck, act)
 					if okp != okk {
-						t.Fatalf("apply(%+v): pointer ok=%t, packed ok=%t", act, okp, okk)
+						t.Fatalf("plan(%+v): pointer ok=%t, packed ok=%t", act, okp, okk)
+					}
+					for e, c := range [2]*sim.Configuration{cur.ptr, cur.pck} {
+						if got := printsOf(c); got != parent[e] {
+							t.Fatalf("plan(%+v) changed the parent's fingerprints on engine %d: %+v -> %+v", act, e, parent[e], got)
+						}
+						if got := c.Key(); got != parentKey[e] {
+							t.Fatalf("plan(%+v) changed the parent's key on engine %d: %q -> %q", act, e, parentKey[e], got)
+						}
 					}
 					if !okp {
 						continue
+					}
+					planned := [2]nodePrints{printsOf(&ptr.sc.succ), printsOf(&pck.sc.succ)}
+					np, nk := ptr.sc.commit(), pck.sc.commit()
+					if got := printsOf(np); got != planned[0] {
+						t.Fatalf("after %+v: pointer planned %+v, committed %+v", act, planned[0], got)
+					}
+					if got := printsOf(nk); got != planned[1] {
+						t.Fatalf("after %+v: packed planned %+v, committed %+v", act, planned[1], got)
 					}
 					crashes := cur.crashes
 					if act.Crash {

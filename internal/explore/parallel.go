@@ -9,12 +9,13 @@ package explore
 // Each chunk of a BFS level is processed in two phases.
 //
 //  1. Expansion (parallel). Workers claim frontier positions from an atomic
-//     counter and expand them with their own searchCtx — private clone free
-//     list, delivery scratch, action buffer, quiescence probe — so the hot
-//     clone/step/hash cycle runs without shared mutable state. Candidates
-//     whose fingerprint key was sealed in an earlier level are dropped
-//     against the visited set, which is immutable while workers run and
-//     therefore read lock-free. Surviving candidates enter a 64-way sharded
+//     counter and expand them with their own searchCtx — private free list,
+//     planned successor, delivery scratch, action buffer — so the hot
+//     plan/key/commit cycle runs without shared mutable state: a plan only
+//     reads its parent. Candidates whose planned key was sealed in an
+//     earlier level are dropped against the visited set, which is immutable
+//     while workers run and therefore read lock-free, before they are
+//     built. Surviving candidates are built and enter a 64-way sharded
 //     claim table keyed by fingerprint: per-shard mutexes arbitrate
 //     concurrent claims, and a claim is replaced when a candidate with a
 //     smaller deterministic order (parent position, action index) arrives,
@@ -168,27 +169,26 @@ func (e *Explorer) expandLevel(ws []*searchCtx, frontier []qent, lo, hi int, vis
 					continue
 				}
 				for ai, act := range sc.actions(parent.cfg, int(parent.crashes)) {
-					cfg, ok := sc.apply(parent.cfg, act)
-					if !ok {
+					if !sc.plan(parent.cfg, act) {
 						continue
 					}
 					crashes := parent.crashes
 					if act.Crash {
 						crashes++
 					}
+					key := sc.e.key(&sc.succ, int(crashes))
+					if vis.Contains(key) {
+						continue
+					}
 					cand := candidate{
-						cfg:     cfg,
-						key:     sc.e.key(cfg, int(crashes)),
+						cfg:     sc.commit(),
+						key:     key,
 						ord:     uint64(i)<<ordShift | uint64(ai),
 						crashes: crashes,
 						act:     act,
 					}
-					if vis.Contains(cand.key) {
-						sc.release(cfg)
-						continue
-					}
 					if goal != nil {
-						cand.detail, cand.goalOK = goal(sc, cfg)
+						cand.detail, cand.goalOK = goal(sc, cand.cfg)
 					}
 					if dup := ct.claim(cand); dup != nil {
 						sc.release(dup)

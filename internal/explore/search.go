@@ -93,8 +93,8 @@ func (e *Explorer) FindConsensusFailure() (w *Witness, found bool, disagreement 
 
 // goalFunc is a witness predicate evaluated on candidate configurations. It
 // receives the evaluating goroutine's search context so predicates needing
-// scratch state (quiescentBlocked's probe clone) stay allocation-free and
-// contention-free under the parallel frontier search. Goals must be pure
+// scratch state (quiescentBlocked's planned probe steps) stay
+// allocation-free and contention-free under the parallel frontier search. Goals must be pure
 // functions of the configuration's content: two configurations with equal
 // keys must produce equal results.
 type goalFunc func(sc *searchCtx, cfg *sim.Configuration) (string, bool)
@@ -124,25 +124,17 @@ func (sc *searchCtx) quiescentBlocked(cfg *sim.Configuration) (sim.ProcessID, bo
 	// the configuration fingerprint unchanged (the fingerprint covers local
 	// states, decisions, and buffered messages, and excludes time). (With a
 	// detector the output could change behaviour; the oracle is part of the
-	// step here.) Probing reuses one scratch clone across all live processes
-	// and all visited candidates instead of deep-cloning per probe.
+	// step here.) The probe steps are planned, never built, and on the
+	// packed engine hash only the plain terms compared here.
 	for _, p := range e.opts.Live {
 		if cfg.Crashed(p) {
 			continue
 		}
-		sc.probe = cfg.CloneInto(sc.probe)
-		// The probe is stepped but never keyed: only concrete fingerprints
-		// are compared below, so skip the canonical maintenance a symmetric
-		// search's clone would otherwise pay on every probe step.
-		sc.probe.DetachSymmetry()
 		req := sim.StepRequest{Proc: p}
 		if e.opts.Oracle != nil {
-			req.FD = e.opts.Oracle.Query(p, sc.probe.Time(), sc.probe)
+			req.FD = e.opts.Oracle.Query(p, cfg.Time(), cfg)
 		}
-		if err := sc.probe.ApplyQuiet(req); err != nil {
-			return 0, false
-		}
-		if sc.probe.Fingerprint() != cfg.Fingerprint() {
+		if cfg.Plan(req, &sc.succ) != nil || sc.succ.Fingerprint() != cfg.Fingerprint() {
 			return 0, false
 		}
 	}

@@ -15,9 +15,9 @@ package explore
 //  2. posts the table's winners, deduplicated locally and sorted by ord,
 //     with its stop bit to the chunk's round, and receives every
 //     participant's list;
-//  3. rebuilds each remote winner by applying the winner's generation
-//     record to its own copy of the parent, checking the result against
-//     the announced key; and
+//  3. rebuilds each remote winner by planning the winner's generation
+//     record on its own copy of the parent, checking the planned key
+//     against the announced one before building it; and
 //  4. merges the union in ord order through the fan-out's merge, whose
 //     visited-set insert keeps the min-ord candidate of a key that two
 //     participants both produced.
@@ -147,10 +147,11 @@ func (r *shardRole) exchange(sc *searchCtx, frontier []qent, lo, hi int, winners
 }
 
 // rebuild turns a remote participant's winner into a local candidate by
-// applying its generation record to this participant's copy of the parent.
+// planning its generation record on this participant's copy of the parent.
 // The winner comes from another process, so it is checked: its parent lies
 // in the chunk frontier[lo:hi], its record and its order key name the same
-// parent, its action applies, and the result has the announced key.
+// parent, its action applies, and the plan has the announced key, which is
+// checked before the candidate is built.
 func rebuild(sc *searchCtx, frontier []qent, lo, hi int, c ShardCandidate) (candidate, error) {
 	rec := recFromBits(c.Bits)
 	pos := c.Ord >> ordShift
@@ -158,20 +159,17 @@ func rebuild(sc *searchCtx, frontier []qent, lo, hi int, c ShardCandidate) (cand
 		return candidate{}, fmt.Errorf("candidate %#x: order key names parent %d, record %d, chunk [%d,%d)", c.Key, pos, rec.parent, lo, hi)
 	}
 	parent := frontier[pos]
-	cfg, ok := sc.apply(parent.cfg, rec.act)
-	if !ok {
+	if !sc.plan(parent.cfg, rec.act) {
 		return candidate{}, fmt.Errorf("candidate %#x: action not applicable to parent %d", c.Key, pos)
 	}
 	crashes := parent.crashes
 	if rec.act.Crash {
 		crashes++
 	}
-	w := candidate{cfg: cfg, key: sc.e.key(cfg, int(crashes)), ord: c.Ord, crashes: crashes, act: rec.act, goalOK: c.Goal, detail: c.Detail}
-	if w.key != c.Key {
-		sc.release(cfg)
-		return candidate{}, fmt.Errorf("candidate %#x rebuilds to key %#x", c.Key, w.key)
+	if key := sc.e.key(&sc.succ, int(crashes)); key != c.Key {
+		return candidate{}, fmt.Errorf("candidate %#x rebuilds to key %#x", c.Key, key)
 	}
-	return w, nil
+	return candidate{cfg: sc.commit(), key: c.Key, ord: c.Ord, crashes: crashes, act: rec.act, goalOK: c.Goal, detail: c.Detail}, nil
 }
 
 // LocalShardHub is the all-gather barrier of a sharded search. Participant

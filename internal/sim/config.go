@@ -73,15 +73,14 @@ type Configuration struct {
 	// counts, fingerprint caches, symmetry caches — is shared between the
 	// two representations, so the fingerprint and symmetry maintenance is
 	// engine-agnostic. psend is the send-membership bitmask of a restricted
-	// algorithm; pdeliver and pem are per-configuration scratch for
-	// applyPacked.
-	pk       Packer
-	psend    uint64
-	pwords   int
-	pstates  []uint64
-	pbuf     [][]PackedMsg
-	pdeliver []PackedMsg
-	pem      PackedEmitter
+	// algorithm; pstep is the scratch plan of applyPacked, allocated on the
+	// first in-place step and never copied by a clone.
+	pk      Packer
+	psend   uint64
+	pwords  int
+	pstates []uint64
+	pbuf    [][]PackedMsg
+	pstep   *Successor
 }
 
 // NewConfiguration builds the initial configuration for algorithm a with the
@@ -222,7 +221,7 @@ func (c *Configuration) DistinctDecisions() []Value {
 // payloads are immutable by contract and therefore shared.
 func (c *Configuration) Clone() *Configuration {
 	if c.pk != nil {
-		return c.clonePacked()
+		return c.clonePacked(nil)
 	}
 	cp := &Configuration{
 		n:         c.n,
@@ -249,11 +248,13 @@ func (c *Configuration) Clone() *Configuration {
 // clonePacked is Clone for the packed engine. All the fixed-width uint64
 // caches — procFP, the symmetry caches, the packed records — are carved out
 // of one slab, and every buffered message out of one flat PackedMsg slab,
-// with full-capacity subslices so a later append cannot bleed into a
+// with capacity-capped subslices so a later append cannot bleed into a
 // neighbour. None of the uint64 regions ever grows, so sharing the slab is
 // permanent; a buffer region that grows (new sends) reallocates away from
-// the slab on its own.
-func (c *Configuration) clonePacked() *Configuration {
+// the slab on its own. A clone made to commit the plan s (nil for a plain
+// clone) reserves room in each buffer region for the messages s sends
+// there.
+func (c *Configuration) clonePacked(s *Successor) *Configuration {
 	n := c.n
 	cp := &Configuration{
 		n:         n,
@@ -289,20 +290,21 @@ func (c *Configuration) clonePacked() *Configuration {
 	cp.pstates = carve(c.pstates)
 	cp.pbuf = make([][]PackedMsg, n)
 	total := 0
-	for _, buf := range c.pbuf {
-		total += len(buf)
+	for i, buf := range c.pbuf {
+		total += len(buf) + s.sentTo(i)
 	}
 	if total > 0 {
 		msgs := make([]PackedMsg, total)
 		moff := 0
 		for i, buf := range c.pbuf {
-			if len(buf) == 0 {
+			end := moff + len(buf) + s.sentTo(i)
+			if end == moff {
 				continue
 			}
-			dst := msgs[moff : moff+len(buf) : moff+len(buf)]
+			dst := msgs[moff : moff+len(buf) : end]
 			copy(dst, buf)
 			cp.pbuf[i] = dst
-			moff += len(buf)
+			moff = end
 		}
 	}
 	return cp
@@ -310,9 +312,9 @@ func (c *Configuration) clonePacked() *Configuration {
 
 // CloneInto copies c into dst, reusing dst's allocations where capacities
 // allow, and returns dst. A nil dst behaves like Clone. It is the pooled
-// clone behind package explore's per-action copies: a configuration retired
-// from a search can be recycled as the destination of the next clone,
-// keeping the search's allocation rate flat in the number of visits.
+// clone behind Successor.Commit: a configuration retired from a search can
+// be recycled as the destination of the next commit, keeping the search's
+// allocation rate flat in the number of visits.
 func (c *Configuration) CloneInto(dst *Configuration) *Configuration {
 	if dst == nil || dst == c {
 		return c.Clone()
@@ -536,30 +538,11 @@ func (c *Configuration) apply(req StepRequest, record bool) (Event, error) {
 		// on the pointer engine); record is accepted and ignored.
 		return c.applyPacked(req)
 	}
+	if err := c.checkStep(req); err != nil {
+		return Event{}, err
+	}
 	p := req.Proc
-	if p < 1 || int(p) > c.n {
-		return Event{}, fmt.Errorf("sim: step for unknown process %d", p)
-	}
 	i := int(p) - 1
-	if c.crashed[i] {
-		return Event{}, fmt.Errorf("sim: process %d stepped after crashing", p)
-	}
-	nfaults := 0
-	if req.OmitSends {
-		nfaults++
-	}
-	if req.DropDeliver {
-		nfaults++
-	}
-	if req.Corrupt {
-		nfaults++
-	}
-	if nfaults > 1 {
-		return Event{}, fmt.Errorf("sim: process %d step combines multiple fault actions", p)
-	}
-	if nfaults > 0 && (req.Crash || req.SilentCrash) {
-		return Event{}, fmt.Errorf("sim: process %d step combines a fault action with a crash", p)
-	}
 
 	if req.SilentCrash {
 		c.crashed[i] = true
@@ -691,6 +674,36 @@ func (c *Configuration) apply(req StepRequest, record bool) (Event, error) {
 		ev.Decision, ev.Decided = v, true
 	}
 	return ev, nil
+}
+
+// checkStep enforces the rules every step request must pass on either
+// engine: the process exists and has not crashed, and the request asks for
+// at most one fault action, never together with a crash.
+func (c *Configuration) checkStep(req StepRequest) error {
+	p := req.Proc
+	if p < 1 || int(p) > c.n {
+		return fmt.Errorf("sim: step for unknown process %d", p)
+	}
+	if c.crashed[p-1] {
+		return fmt.Errorf("sim: process %d stepped after crashing", p)
+	}
+	nfaults := 0
+	if req.OmitSends {
+		nfaults++
+	}
+	if req.DropDeliver {
+		nfaults++
+	}
+	if req.Corrupt {
+		nfaults++
+	}
+	if nfaults > 1 {
+		return fmt.Errorf("sim: process %d step combines multiple fault actions", p)
+	}
+	if nfaults > 0 && (req.Crash || req.SilentCrash) {
+		return fmt.Errorf("sim: process %d step combines a fault action with a crash", p)
+	}
+	return nil
 }
 
 // take removes the messages with the given ids from buffer i and returns

@@ -128,18 +128,24 @@ func (c *Configuration) stateHash64(i int) uint64 {
 // procComponent hashes process slot i's behaviourally relevant content:
 // crash flag, state key, and write-once decision.
 func (c *Configuration) procComponent(i int) uint64 {
+	return procComponentOf(i, c.crashed[i], c.stateHash64(i), c.decisions[i], c.faultCount(i))
+}
+
+// procComponentOf is procComponent over explicit slot content, so a planned
+// step (see Successor) can hash the slot it would write.
+func procComponentOf(i int, crashed bool, stateHash uint64, decision Value, faults int32) uint64 {
 	h := uint64(fnvOffset64)
-	if c.crashed[i] {
-		h = fnvUint(h, 1)
+	if crashed {
+		h = crashedSeed
 	}
-	h = fnvUint(h, c.stateHash64(i))
-	h = fnvUint(h, uint64(c.decisions[i]))
-	if f := c.faultCount(i); f != 0 {
+	h = fnvUint(h, stateHash)
+	h = fnvUint(h, uint64(decision))
+	if faults != 0 {
 		// Spent fault budget distinguishes otherwise-identical
 		// configurations with different adversarial futures. Guarded so a
 		// crash-only run's components stay bit-identical to the pre-fault
 		// engine.
-		h = fnvUint(h, uint64(f))
+		h = fnvUint(h, uint64(faults))
 	}
 	return splitmix64(h) * procSalt(i)
 }
@@ -155,8 +161,8 @@ func msgComponent(recv int, m *Message) uint64 {
 }
 
 // Fingerprint returns the incremental 64-bit fingerprint of the
-// configuration. It is maintained by NewConfiguration, Apply, and Clone;
-// reading it is free.
+// configuration. It is maintained by NewConfiguration, Apply, Clone, and
+// Successor.Commit; reading it is free.
 func (c *Configuration) Fingerprint() uint64 { return c.fp }
 
 // recomputeFingerprint rebuilds the fingerprint and per-slot caches from
@@ -199,13 +205,23 @@ func (c *Configuration) recomputeFingerprint() {
 // fingerprint keeps apart (same crash, same decision, different absorbed
 // values or different undelivered leftovers). Computed on demand in
 // O(n + crashed buffers) from the cached per-slot components.
-func (c *Configuration) LiveFingerprint() uint64 {
-	fp := c.fp
+func (c *Configuration) LiveFingerprint() uint64 { return c.liveFingerprint(c.fp, nil) }
+
+// liveFingerprint projects the plain fingerprint fp of c, or of the
+// successor s plans from c when s is non-nil, onto its live content.
+func (c *Configuration) liveFingerprint(fp uint64, s *Successor) uint64 {
 	for i := 0; i < c.n; i++ {
-		if !c.crashed[i] {
+		crashed, decision, proc := c.crashed[i], c.decisions[i], c.procFP[i]
+		if s != nil && i == s.i {
+			crashed, decision, proc = s.crashed, s.decision, s.procFP
+		}
+		if !crashed {
 			continue
 		}
-		fp += crashedSlotComponent(i, c.decisions[i]) - c.procFP[i]
+		fp += crashedSlotComponent(i, decision) - proc
+		if s != nil {
+			fp -= s.bufDelta(i, false)
+		}
 		if c.pk != nil {
 			for j := range c.pbuf[i] {
 				fp -= c.pbuf[i][j].fp
@@ -222,11 +238,11 @@ func (c *Configuration) LiveFingerprint() uint64 {
 // crashedSlotComponent is the normalized component of a crashed process
 // slot: crash flag and decision only (compare procComponent).
 func crashedSlotComponent(i int, decision Value) uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvUint(h, 1)
-	h = fnvUint(h, uint64(decision))
-	return splitmix64(h) * procSalt(i)
+	return splitmix64(fnvUint(crashedSeed, uint64(decision))) * procSalt(i)
 }
+
+// crashedSeed is the FNV state after a slot's crash flag.
+var crashedSeed = fnvUint(fnvOffset64, 1)
 
 // refreshProc re-hashes process slot i after its state, crash flag, or
 // decision changed, and folds the delta into the fingerprint (and into the

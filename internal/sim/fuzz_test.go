@@ -134,7 +134,10 @@ func (p testPayload) SymHash64(relabel func(ProcessID) uint64) uint64 {
 // operations on a fresh 4-process configuration (proposals [0,0,1,1]: two
 // non-trivial symmetry classes) and invokes check after every mutation.
 // Inapplicable operations (stepping a crashed process, empty deliveries)
-// are skipped, so every byte stream is a valid schedule prefix.
+// are skipped, so every byte stream is a valid schedule prefix. Every other
+// step is planned and committed into a pooled clone instead of applied in
+// place, and its planned fingerprints must equal the committed
+// configuration's, both as maintained and as recomputed from scratch.
 func fuzzDrive(t *testing.T, data []byte, attachSym bool, check func(t *testing.T, cfg *Configuration)) {
 	inputs := []Value{0, 0, 1, 1}
 	live := []ProcessID{1, 2, 3, 4}
@@ -143,6 +146,18 @@ func fuzzDrive(t *testing.T, data []byte, attachSym bool, check func(t *testing.
 		cfg.AttachSymmetry(NewSymmetry(inputs, live))
 	}
 	var pool ClonePool
+	var succ Successor
+	prints := func(f interface {
+		Fingerprint() uint64
+		LiveFingerprint() uint64
+		Canonical64() uint64
+		LiveCanonical64() uint64
+	}) [4]uint64 {
+		if !attachSym {
+			return [4]uint64{f.Fingerprint(), f.LiveFingerprint()}
+		}
+		return [4]uint64{f.Fingerprint(), f.LiveFingerprint(), f.Canonical64(), f.LiveCanonical64()}
+	}
 	check(t, cfg)
 	for i := 0; i+1 < len(data) && i < 120; i += 2 {
 		p := ProcessID(int(data[i])%len(inputs) + 1)
@@ -184,8 +199,30 @@ func fuzzDrive(t *testing.T, data []byte, attachSym bool, check func(t *testing.
 		case 10: // Byzantine value-corruption step
 			req.Corrupt = true
 		}
-		if err := cfg.ApplyQuiet(req); err != nil {
-			t.Fatalf("apply %+v: %v", req, err)
+		if i/2%2 == 0 {
+			if err := cfg.ApplyQuiet(req); err != nil {
+				t.Fatalf("apply %+v: %v", req, err)
+			}
+			check(t, cfg)
+			continue
+		}
+		if err := cfg.Plan(req, &succ); err != nil {
+			t.Fatalf("plan %+v: %v", req, err)
+		}
+		planned := prints(&succ)
+		next := succ.Commit(pool.Get())
+		pool.Put(cfg)
+		cfg = next
+		if got := prints(cfg); got != planned {
+			t.Fatalf("plan %+v: planned fingerprints %#x, committed %#x", req, planned, got)
+		}
+		scratch := cfg.Clone()
+		scratch.recomputeFingerprint()
+		if attachSym {
+			scratch.recomputeSymmetry()
+		}
+		if got := prints(scratch); got != planned {
+			t.Fatalf("plan %+v: planned fingerprints %#x, recomputed %#x", req, planned, got)
 		}
 		check(t, cfg)
 	}

@@ -26,8 +26,6 @@ package sim
 // bitmasks); PackerFor reports false beyond that, and callers fall back to
 // the pointer engine.
 
-import "fmt"
-
 // PackedMsg is the fixed-width encoding of one buffered message: the
 // bookkeeping id, the sender, a packer-defined kind tag and auxiliary word
 // (e.g. a heard-set bitmask), and the Byzantine-corruption flag. The
@@ -51,8 +49,8 @@ type PackedMsg struct {
 }
 
 // PackedInput is Input over packed messages: everything a packed step
-// observes. The Delivered slice aliases configuration scratch and must not
-// be retained by the packer.
+// observes. The Delivered slice may alias a configuration's buffer; the
+// packer must neither modify nor retain it.
 type PackedInput struct {
 	Time      int
 	Delivered []PackedMsg
@@ -119,7 +117,9 @@ type Packer interface {
 	// Step applies one atomic step to rec in place, emitting sends through
 	// em. It must mirror the pointer Step exactly: same state evolution,
 	// same sends in the same order, and it must ignore corrupt messages.
-	// in.Delivered aliases scratch and must not be retained.
+	// in.Delivered may alias the stepping configuration's own buffer, which
+	// other goroutines may be planning steps from (see Configuration.Plan):
+	// Step must neither modify nor retain it.
 	Step(rec []uint64, i int, in PackedInput, em *PackedEmitter)
 	// Decided returns process i's decision, mirroring State.Decided.
 	Decided(rec []uint64, i int) (Value, bool)
@@ -319,191 +319,18 @@ func (c *Configuration) unpackMessage(recv int, m PackedMsg) Message {
 	}
 }
 
-// applyPacked is apply for packed configurations: the same validation, the
-// same mutation order, the same fingerprint maintenance — but over records
-// and PackedMsgs, with zero allocations on the non-fault path. It never
-// materializes an Event (witness replay runs on the pointer engine), so
-// record is accepted and ignored.
+// applyPacked is apply for packed configurations: the step planned and
+// committed in place (see plan.go), allocation-free once the configuration's
+// step scratch has grown. It never materializes an Event (witness replay
+// runs on the pointer engine), so record is accepted and ignored.
 func (c *Configuration) applyPacked(req StepRequest) (Event, error) {
-	p := req.Proc
-	if p < 1 || int(p) > c.n {
-		return Event{}, fmt.Errorf("sim: step for unknown process %d", p)
+	if c.pstep == nil {
+		c.pstep = &Successor{}
 	}
-	i := int(p) - 1
-	if c.crashed[i] {
-		return Event{}, fmt.Errorf("sim: process %d stepped after crashing", p)
-	}
-	nfaults := 0
-	if req.OmitSends {
-		nfaults++
-	}
-	if req.DropDeliver {
-		nfaults++
-	}
-	if req.Corrupt {
-		nfaults++
-	}
-	if nfaults > 1 {
-		return Event{}, fmt.Errorf("sim: process %d step combines multiple fault actions", p)
-	}
-	if nfaults > 0 && (req.Crash || req.SilentCrash) {
-		return Event{}, fmt.Errorf("sim: process %d step combines a fault action with a crash", p)
-	}
-
-	if req.SilentCrash {
-		c.crashed[i] = true
-		c.refreshProc(i)
-		return Event{}, nil
-	}
-
-	delivered, drop, err := c.takePacked(i, req.Deliver)
-	if err != nil {
+	s := c.pstep
+	if err := c.planPacked(req, s); err != nil {
 		return Event{}, err
 	}
-
-	faulted := false
-	in := PackedInput{Time: c.time, Delivered: delivered, FD: req.FD}
-	if req.DropDeliver && len(delivered) > 0 {
-		in.Delivered = nil
-		faulted = true
-	}
-	em := &c.pem
-	em.n = c.n
-	em.mask = c.psend
-	em.sends = em.sends[:0]
-	c.pk.Step(c.prec(i), i, in, em)
-	if drop > 0 {
-		// The delivered slice aliased the buffer's prefix; now that Step has
-		// consumed it (packers must not retain it), compact the buffer in
-		// place. This must happen before the send loop appends new messages.
-		buf := c.pbuf[i]
-		c.pbuf[i] = append(buf[:0], buf[drop:]...)
-	}
-
-	prevDecision := c.decisions[i]
-	if v, ok := c.pk.Decided(c.prec(i), i); ok {
-		if v == NoValue {
-			return Event{}, fmt.Errorf("sim: process %d decided the reserved NoValue", p)
-		}
-		if prevDecision != NoValue && prevDecision != v {
-			return Event{}, fmt.Errorf("sim: process %d changed decision %d -> %d", p, prevDecision, v)
-		}
-		c.decisions[i] = v
-	} else if prevDecision != NoValue {
-		return Event{}, fmt.Errorf("sim: process %d retracted its decision", p)
-	}
-
-	for _, snd := range em.sends {
-		if snd.To < 1 || int(snd.To) > c.n {
-			return Event{}, fmt.Errorf("sim: process %d sent to unknown process %d", p, snd.To)
-		}
-		if req.Crash && req.OmitTo[snd.To] {
-			continue
-		}
-		if req.OmitSends {
-			faulted = true
-			continue
-		}
-		m := PackedMsg{ID: c.nextMsgID, From: p, Kind: snd.Kind, Aux: snd.Aux}
-		if req.Corrupt {
-			m.Corrupt = true
-			faulted = true
-		}
-		recv := int(snd.To) - 1
-		m.fp = c.packedMsgComponent(recv, m)
-		c.fp += m.fp
-		if c.sym != nil {
-			m.sfp = c.packedSymMsgTerm(m)
-			c.symAddMsg(recv, m.sfp)
-		}
-		c.nextMsgID++
-		c.pbuf[recv] = append(c.pbuf[recv], m)
-	}
-
-	if req.Crash {
-		c.crashed[i] = true
-	}
-	if faulted {
-		c.bumpFault(i)
-	}
-	c.refreshProc(i)
-	c.time++
+	s.commitTo(c, c)
 	return Event{}, nil
-}
-
-// takePacked is take over the packed buffer, returning the delivered
-// messages in buffer order (the packer consumes them synchronously inside
-// Step). On the prefix fast path the returned slice ALIASES the buffer and
-// drop > 0 instructs the caller to compact c.pbuf[i] by that many leading
-// messages after Step returns — deferring the compaction makes the take
-// allocation-free. The fingerprint deltas are applied here either way (they
-// are sums, so the order relative to the compaction is immaterial).
-func (c *Configuration) takePacked(i int, ids []int64) (taken []PackedMsg, drop int, err error) {
-	if len(ids) == 0 {
-		return nil, 0, nil
-	}
-	buf := c.pbuf[i]
-	// Fast path: ids matches a buffer prefix in order — the only delivery
-	// shapes the explorer emits (flush and oldest).
-	if len(ids) <= len(buf) {
-		match := true
-		for j, id := range ids {
-			if buf[j].ID != id {
-				match = false
-				break
-			}
-		}
-		if match {
-			taken = buf[:len(ids):len(ids)]
-			for j := range taken {
-				c.fp -= taken[j].fp
-				if c.sym != nil {
-					c.symAddMsg(i, -taken[j].sfp)
-				}
-			}
-			return taken, len(ids), nil
-		}
-	}
-	want := make(map[int64]bool, len(ids))
-	for _, id := range ids {
-		if want[id] {
-			return nil, 0, fmt.Errorf("sim: duplicate delivery of message %d", id)
-		}
-		want[id] = true
-	}
-	taken = c.pdeliver[:0]
-	rest := make([]PackedMsg, 0, len(buf))
-	for _, m := range buf {
-		if want[m.ID] {
-			taken = append(taken, m)
-			delete(want, m.ID)
-		} else {
-			rest = append(rest, m)
-		}
-	}
-	if len(want) > 0 {
-		missing := make([]int64, 0, len(want))
-		for id := range want {
-			missing = append(missing, id)
-		}
-		sortInt64s(missing)
-		return nil, 0, fmt.Errorf("sim: messages %v not pending for process %d", missing, i+1)
-	}
-	c.pdeliver = taken
-	for j := range taken {
-		c.fp -= taken[j].fp
-		if c.sym != nil {
-			c.symAddMsg(i, -taken[j].sfp)
-		}
-	}
-	c.pbuf[i] = rest
-	return taken, 0, nil
-}
-
-func sortInt64s(xs []int64) {
-	for a := 1; a < len(xs); a++ {
-		for b := a; b > 0 && xs[b] < xs[b-1]; b-- {
-			xs[b], xs[b-1] = xs[b-1], xs[b]
-		}
-	}
 }

@@ -1,10 +1,11 @@
 package sim
 
 // ClonePool is a free list of retired Configurations used as pooled-clone
-// destinations (CloneInto). Package explore keeps the allocation rate of its
-// searches flat by recycling every configuration that leaves the search
-// through a pool; the parallel frontier search keeps one pool per worker so
-// that the hot clone/release cycle never contends on shared state.
+// destinations (CloneInto, Successor.Commit). Package explore keeps the
+// allocation rate of its searches flat by recycling every configuration that
+// leaves the search through a pool; the parallel frontier search keeps one
+// pool per worker so that the hot commit/release cycle never contends on
+// shared state.
 //
 // A ClonePool is NOT safe for concurrent use; that is the point — give each
 // goroutine its own. Configurations put into a pool must no longer be

@@ -27,10 +27,10 @@ package sim
 // and is correctly distinguished.
 //
 // Like the plain fingerprint, Canonical64 is maintained incrementally in
-// O(changed) by Apply/take/SilentCrash when a Symmetry is attached: per
-// process the base component and the buffered-message term sum are cached,
-// and the outer sum is patched by subtracting the stale mixed signature and
-// adding the fresh one.
+// O(changed) by Apply/take/SilentCrash and Successor.Commit when a Symmetry
+// is attached: per process the base component and the buffered-message term
+// sum are cached, and the outer sum is patched by subtracting the stale
+// mixed signature and adding the fresh one.
 //
 // Soundness caveat (documented for explore's users): the signature is a
 // one-round refinement, not a full graph canonicalization, so two
@@ -61,6 +61,10 @@ type Symmetry struct {
 	labels  []uint64 // labels[p-1]: mixed class label of process p
 	relabel func(ProcessID) uint64
 	classes int
+	// slotHash[i] is the FNV state after slot i's label, the common prefix
+	// of its signatures; crashedHash[i] continues it with the crash flag.
+	slotHash    []uint64
+	crashedHash []uint64
 }
 
 // NewSymmetry builds the input-stabilizer classes for a system with the
@@ -75,7 +79,7 @@ func NewSymmetry(inputs []Value, live []ProcessID) *Symmetry {
 			isLive[p-1] = true
 		}
 	}
-	sym := &Symmetry{labels: make([]uint64, n)}
+	sym := &Symmetry{labels: make([]uint64, n), slotHash: make([]uint64, n), crashedHash: make([]uint64, n)}
 	seen := make(map[uint64]bool, n)
 	for i := 0; i < n; i++ {
 		h := uint64(fnvOffset64)
@@ -84,6 +88,8 @@ func NewSymmetry(inputs []Value, live []ProcessID) *Symmetry {
 			h = fnvUint(h, 1)
 		}
 		sym.labels[i] = splitmix64(h) | 1
+		sym.slotHash[i] = fnvUint(fnvOffset64, sym.labels[i])
+		sym.crashedHash[i] = fnvUint(sym.slotHash[i], 1)
 		if !seen[sym.labels[i]] {
 			seen[sym.labels[i]] = true
 			sym.classes++
@@ -128,18 +134,23 @@ func (c *Configuration) symStateHash64(i int) uint64 {
 // symBaseComponent hashes process slot i's relabeled content: class label,
 // crash flag, write-once decision, and relabeled state.
 func (c *Configuration) symBaseComponent(i int) uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvUint(h, c.sym.labels[i])
-	if c.crashed[i] {
-		h = fnvUint(h, 1)
+	return c.sym.baseComponent(i, c.crashed[i], c.decisions[i], c.symStateHash64(i), c.faultCount(i))
+}
+
+// baseComponent is symBaseComponent over explicit slot content, so a
+// planned step (see Successor) can hash the slot it would write.
+func (s *Symmetry) baseComponent(i int, crashed bool, decision Value, symStateHash uint64, faults int32) uint64 {
+	h := s.slotHash[i]
+	if crashed {
+		h = s.crashedHash[i]
 	}
-	h = fnvUint(h, uint64(c.decisions[i]))
-	h = fnvUint(h, c.symStateHash64(i))
-	if f := c.faultCount(i); f != 0 {
+	h = fnvUint(h, uint64(decision))
+	h = fnvUint(h, symStateHash)
+	if faults != 0 {
 		// Fault counts fold inside the per-slot signature (not as a separate
 		// additive term) so renamings must match counts slot-by-slot; guarded
 		// to keep crash-only canonical fingerprints bit-identical.
-		h = fnvUint(h, uint64(f))
+		h = fnvUint(h, uint64(faults))
 	}
 	return splitmix64(h)
 }
@@ -203,13 +214,6 @@ func (c *Configuration) AttachSymmetry(sym *Symmetry) {
 // maintained.
 func (c *Configuration) HasSymmetry() bool { return c.sym != nil }
 
-// DetachSymmetry stops orbit-canonical maintenance on this configuration
-// only (clones taken FROM it still inherit nothing; clones INTO it re-arm
-// it when the source has symmetry). Scratch configurations that are stepped
-// but never keyed — package explore's quiescence probe — call it after each
-// pooled clone so probe steps skip the canonical hashing entirely.
-func (c *Configuration) DetachSymmetry() { c.sym = nil }
-
 // Canonical64 returns the orbit-canonical 64-bit fingerprint maintained
 // since AttachSymmetry: equal for configurations that are renamings of each
 // other under input/liveness-preserving process permutations (for
@@ -225,19 +229,33 @@ func (c *Configuration) Canonical64() uint64 { return c.symfp }
 // Canonical64 it is meaningless before AttachSymmetry. The normalization is
 // sound independently of SymHasher64 opt-ins: it never merges by renaming,
 // only by inertness, and the live slots keep their Canonical64 hashing.
-func (c *Configuration) LiveCanonical64() uint64 {
-	s := c.symfp
+func (c *Configuration) LiveCanonical64() uint64 { return c.liveCanonical(c.symfp, nil) }
+
+// liveCanonical projects the canonical fingerprint v of c, or of the
+// successor s plans from c when s is non-nil, onto its live content.
+func (c *Configuration) liveCanonical(v uint64, s *Successor) uint64 {
 	for i := 0; i < c.n; i++ {
-		if !c.crashed[i] {
+		crashed, decision := c.crashed[i], c.decisions[i]
+		if s != nil && i == s.i {
+			crashed, decision = s.crashed, s.decision
+		}
+		if !crashed {
 			continue
 		}
-		h := uint64(fnvOffset64)
-		h = fnvUint(h, c.sym.labels[i])
-		h = fnvUint(h, 1)
-		h = fnvUint(h, uint64(c.decisions[i]))
-		s += splitmix64(splitmix64(h)) - c.symSig(i)
+		sig := c.symSig(i)
+		if s != nil {
+			sig = s.symSig(i)
+		}
+		v += c.sym.crashedSig(i, decision) - sig
 	}
-	return s
+	return v
+}
+
+// crashedSig is the normalized mixed signature LiveCanonical64 gives the
+// crashed slot i with the given decision: class label, crash flag and
+// decision only.
+func (s *Symmetry) crashedSig(i int, decision Value) uint64 {
+	return splitmix64(splitmix64(fnvUint(s.crashedHash[i], uint64(decision))))
 }
 
 // recomputeSymmetry rebuilds the canonical fingerprint and its per-slot
